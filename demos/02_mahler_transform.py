@@ -2,7 +2,7 @@
 Binomial-basis interpolation mod p^E
 ====================================
 
-The forward-difference transform turns a table of residues into
+The Mahler transform turns a table of residues into
 coefficients over the binomial basis C(x, 0), C(x, 1), ...  Evaluating
 the resulting series reproduces the table and extends it to points far
 outside the sampled window.

@@ -33,8 +33,8 @@ rep = run_task(est, 1, trials=100000, seed=1)
 print(f"task 1  {rep.trials} random positions, "
       f"success {rep.success_rate:.4f}")
 
-# Task 2: exhaustively sweep the plane x0 = 0, where every second
-# point is a P-position.  2^20 trials.
+# Task 2: exhaustively sweep the plane x0 = 0, where the P-positions
+# are the 1024 points with x1 == x2.  2^20 trials.
 rep = run_task(est, 2)
 print(f"task 2  {rep.trials} plane points, {rep.failures} failures, "
       f"success {rep.success_rate:.6f}")

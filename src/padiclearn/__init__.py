@@ -1,7 +1,7 @@
 """Learning zero loci of p-adically continuous maps from finite samples.
 
 The pipeline: index sample points in a digit-interleaving trie, read off
-max-valuation distances to fill a residue grid, difference-transform the
+max-valuation distances to fill a residue grid, Mahler-transform the
 grid into coefficients of the product binomial basis, and evaluate the
 truncated series to predict membership of unseen points.  A three-heap
 Nim benchmark exercises the whole stack end to end.
@@ -9,7 +9,6 @@ Nim benchmark exercises the whole stack end to end.
 
 from .learner import DefiningFunctionEstimate, SampleSet, build_value_grid, learn
 from .mahler import (
-    MahlerCoefficients,
     ResidueGrid,
     dump_coefficients,
     evaluate,
@@ -27,7 +26,6 @@ from .nim import (
     trivial_baseline,
 )
 from .padic import (
-    BinomialTable,
     LearningParams,
     binomial_table,
     expand,
@@ -41,10 +39,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BENCHMARK_PARAMS",
     "BenchmarkReport",
-    "BinomialTable",
     "DefiningFunctionEstimate",
     "LearningParams",
-    "MahlerCoefficients",
     "PadicTrie",
     "ResidueGrid",
     "SampleSet",

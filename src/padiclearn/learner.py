@@ -3,7 +3,7 @@
 Training fills the value grid over [0, M)**D with p**v at every node,
 where v is the best valuation any sample achieves against the node; the
 valuation E collapses to 0 mod p**E, so samples themselves land exactly
-on zero.  The grid's difference transform, truncated per axis at L, is
+on zero.  The grid's Mahler transform, truncated per axis at L, is
 the model.  Evaluating the truncated series at a point estimates the
 defining function mod p**E, and a zero residue is the membership verdict.
 """
@@ -22,7 +22,7 @@ from .mahler import (
     read_coefficient_rows,
     write_coefficient_rows,
 )
-from .padic import BinomialTable, LearningParams, binomial_table
+from .padic import LearningParams, as_coordinates, binomial_table
 from .trie import PadicTrie
 
 # grid fill and batched prediction work through scratch arrays of at most
@@ -42,7 +42,7 @@ class SampleSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64)
+        pts = as_coordinates(self.points)
         if pts.ndim == 1 and pts.size == self.params.D:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2 or pts.shape[1] != self.params.D:
@@ -76,7 +76,7 @@ def build_value_grid(samples: SampleSet) -> ResidueGrid:
 
 
 def learn(samples: SampleSet) -> "DefiningFunctionEstimate":
-    """Train an estimate: grid fill, difference transform, truncation.
+    """Train an estimate: grid fill, Mahler transform, truncation.
 
     With L < M every coefficient whose multi-index has a component >= L
     is zeroed; the stored grid keeps its M**D shape so that models with
@@ -103,7 +103,7 @@ class DefiningFunctionEstimate:
 
     params: LearningParams
     coeffs: ResidueGrid
-    table: BinomialTable
+    table: np.ndarray
 
     def _check_domain(self, pts: np.ndarray):
         if pts.size and (pts.min() < 0 or pts.max() >= self.params.modulus):
@@ -113,7 +113,7 @@ class DefiningFunctionEstimate:
 
     def predict_residue(self, point) -> int:
         """Estimated defining-function value mod p**E at one point."""
-        pts = np.atleast_1d(np.asarray(point, dtype=np.int64))
+        pts = np.atleast_1d(as_coordinates(point))
         if pts.shape != (self.params.D,):
             raise ValueError(f"point must have D = {self.params.D} coordinates")
         self._check_domain(pts)
@@ -130,7 +130,7 @@ class DefiningFunctionEstimate:
         one partial contraction of the coefficient grid, so the per-point
         work drops from L**D to L**(D-1).
         """
-        pts = np.asarray(points, dtype=np.int64)
+        pts = as_coordinates(points)
         if pts.ndim != 2 or pts.shape[1] != self.params.D:
             raise ValueError(f"expected an (n, {self.params.D}) point array, got {pts.shape}")
         self._check_domain(pts)
@@ -140,26 +140,31 @@ class DefiningFunctionEstimate:
         ext = self.coeffs.extent
         D = self.params.D
         flat = self.coeffs.data.reshape(ext, -1)
-        B = self.table.data
+        B = self.table
         order = np.argsort(pts[:, 0], kind="stable")
         spts = pts[order]
         uniq, starts = np.unique(spts[:, 0], return_index=True)
         run_bounds = np.append(starts, spts.shape[0])
         out = np.empty(pts.shape[0], dtype=np.int64)
         block = max(1, _CHUNK_CELLS // max(1, ext ** (D - 1)))
+        # one scratch block for every group's partial contraction
+        partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
         for b0 in range(0, uniq.size, block):
             vs = uniq[b0 : b0 + block]
-            partial = (B[vs, :ext] @ flat) % mod
+            partial = np.matmul(B[vs, :ext], flat, out=partials[: vs.size])
+            partial %= mod
             for i in range(vs.size):
                 beg, end = run_bounds[b0 + i], run_bounds[b0 + i + 1]
                 seg = spts[beg:end]
                 if D == 1:
                     out[order[beg:end]] = partial[i, 0]
                     continue
-                acc = (B[seg[:, 1], :ext] @ partial[i].reshape(ext, -1)) % mod
+                acc = B[seg[:, 1], :ext] @ partial[i].reshape(ext, -1)
+                acc %= mod
                 for d in range(2, D):
                     acc = acc.reshape(seg.shape[0], ext, -1)
-                    acc = np.einsum("gl,glr->gr", B[seg[:, d], :ext], acc) % mod
+                    acc = np.einsum("gl,glr->gr", B[seg[:, d], :ext], acc)
+                    acc %= mod
                 out[order[beg:end]] = acc.reshape(-1)
         return out
 
@@ -168,7 +173,7 @@ class DefiningFunctionEstimate:
 
     def predict_residue_grid(self, axes) -> np.ndarray:
         """Residues over a product grid; axes as in evaluate_on_grid."""
-        checked = [np.asarray(a, dtype=np.int64).reshape(-1) for a in axes]
+        checked = [as_coordinates(a).reshape(-1) for a in axes]
         for arr in checked:
             self._check_domain(arr)
         return evaluate_on_grid(self.coeffs, checked, self.table)
@@ -193,6 +198,9 @@ class DefiningFunctionEstimate:
                 raise ValueError(f"bad model header {head!r}") from exc
             params = LearningParams(p=p, E=E, D=D, M=M, L=L)
             data = read_coefficient_rows(fh, params.D, params.M, params.modulus)
+        window = (slice(0, params.L),) * params.D
+        if np.count_nonzero(data) != np.count_nonzero(data[window]):
+            raise ValueError(f"model holds nonzero coefficients outside the L = {L} window")
         coeffs = ResidueGrid(params, data)
         table = binomial_table(params.p, params.E, nmax=params.modulus - 1, kmax=params.M - 1)
         return cls(params, coeffs, table)

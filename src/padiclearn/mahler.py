@@ -1,14 +1,16 @@
-"""Iterated-difference transform mod p**E and truncated-series evaluation.
+"""Mahler transform mod p**E and truncated-series evaluation.
 
-A value grid over [0, n)**D becomes the coefficient grid of the product
-binomial basis prod_d C(x_d, l_d) by running, one axis after another, the
-in-place forward-difference triangle along every 1-d line.  The closed
-1-d form
+Both directions are one per-axis contraction of a grid with a matrix mod
+p**E.  A value grid over [0, n)**D becomes the coefficient grid of the
+product binomial basis prod_d C(x_d, l_d) by contracting every axis with
+the inverse binomial matrix of the 1-d closed form
 
-    c_i = sum_{j <= i} (-1)**(i - j) * C(i, j) * f(j)   (mod p**E)
+    c_i = sum_{j <= i} (-1)**(i - j) * C(i, j) * f(j)   (mod p**E),
 
-is kept alongside as an independent route to the same coefficients; tests
-use it to cross-check the transform.
+and a coefficient grid is evaluated by contracting every axis with the
+binomial-table rows of the query coordinates.  mahler_coeffs_1d computes
+the closed form with exact Python integers instead; tests use it to
+cross-check the transform.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .padic import BinomialTable, LearningParams
+from .padic import LearningParams, binomial_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,28 +52,34 @@ class ResidueGrid:
         return self.data.shape[0]
 
 
-# A coefficient grid is a ResidueGrid read against basis multi-indices.
-MahlerCoefficients = ResidueGrid
+def _contract(data: np.ndarray, mats, mod: int) -> np.ndarray:
+    """Contract axis d of data with mats[d] (out x in), reducing mod `mod`.
+
+    Each round contracts the leading axis and appends the result axis, so
+    after all D rounds the axes are back in order.  The exactness bound
+    next to the caps in padic.py keeps every int64 sum below 2**52.
+    """
+    acc = data
+    for mat in mats:
+        acc = np.tensordot(acc, mat, axes=([0], [1]))
+        acc %= mod
+    return acc
 
 
 def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
-    """Difference-transform a value grid into its coefficient grid.
+    """Transform a value grid into its coefficient grid.
 
-    Axis by axis, every 1-d line is replaced by its iterated forward
-    differences; afterwards entry l holds the coefficient of
-    prod_d C(x_d, l_d).  The per-axis passes commute, so axis order does
-    not matter.  The input grid is left untouched.
+    Every axis is contracted with the inverse binomial matrix
+    (-1)**(i - j) * C(i, j) mod p**E; afterwards entry l holds the
+    coefficient of prod_d C(x_d, l_d).  The input grid is left untouched.
     """
-    mod = grid.params.modulus
-    out = grid.data.copy()
+    params = grid.params
+    mod = params.modulus
     n = grid.extent
-    for axis in range(out.ndim):
-        lines = np.moveaxis(out, axis, 0)
-        for k in range(n - 1):
-            # matches the descending-index update: the shifted slice on the
-            # right reads only values from before this pass
-            lines[k + 1 :] = (lines[k + 1 :] - lines[k:-1]) % mod
-    return ResidueGrid(grid.params, out)
+    idx = np.arange(n)
+    sign = 1 - 2 * (np.add.outer(idx, idx) % 2)
+    inverse = (sign * binomial_table(params.p, params.E, n - 1, n - 1)) % mod
+    return ResidueGrid(params, _contract(grid.data, [inverse] * params.D, mod))
 
 
 def mahler_coeffs_1d(values, params: LearningParams) -> np.ndarray:
@@ -95,24 +103,23 @@ def mahler_coeffs_1d(values, params: LearningParams) -> np.ndarray:
     return out
 
 
-def _check_axes(coeffs: ResidueGrid, axes, table: BinomialTable):
+def _check_axes(coeffs: ResidueGrid, axes, table: np.ndarray):
     params = coeffs.params
-    if table.kmax < coeffs.extent - 1:
-        raise ValueError(
-            f"binomial table covers k <= {table.kmax}, need k <= {coeffs.extent - 1}"
-        )
+    nmax, kmax = table.shape[0] - 1, table.shape[1] - 1
+    if kmax < coeffs.extent - 1:
+        raise ValueError(f"binomial table covers k <= {kmax}, need k <= {coeffs.extent - 1}")
     if len(axes) != params.D:
         raise ValueError(f"got {len(axes)} axes, expected D = {params.D}")
     checked = []
     for a in axes:
         arr = np.asarray(a, dtype=np.int64).reshape(-1)
-        if arr.size and (arr.min() < 0 or arr.max() > table.nmax):
-            raise ValueError(f"axis values must lie in [0, {table.nmax}]")
+        if arr.size and (arr.min() < 0 or arr.max() > nmax):
+            raise ValueError(f"axis values must lie in [0, {nmax}]")
         checked.append(arr)
     return checked
 
 
-def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndarray:
+def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray:
     """Truncated-series values over a product grid of query coordinates.
 
     axes is a D-sequence of 1-d integer arrays; the result has shape
@@ -121,17 +128,11 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndar
     sweeps affordable.
     """
     axes = _check_axes(coeffs, axes, table)
-    mod = coeffs.params.modulus
-    acc = coeffs.data
-    for d in range(coeffs.params.D):
-        rows = table.data[axes[d]][:, : coeffs.extent]
-        # contracting the leading axis each round cycles the result axes
-        # into query order by the time all D rounds are done
-        acc = np.tensordot(acc, rows, axes=([0], [1])) % mod
-    return acc
+    rows = (table[a, : coeffs.extent] for a in axes)
+    return _contract(coeffs.data, rows, coeffs.params.modulus)
 
 
-def evaluate(coeffs: ResidueGrid, point, table: BinomialTable) -> int:
+def evaluate(coeffs: ResidueGrid, point, table: np.ndarray) -> int:
     """Sum of c_l * prod_d C(x_d, l_d) over the whole coefficient grid."""
     coords = np.atleast_1d(np.asarray(point, dtype=np.int64))
     if coords.shape != (coeffs.params.D,):

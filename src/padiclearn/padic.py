@@ -21,6 +21,12 @@ MAX_AXIS_EXTENT = 1 << 12  # per-axis grid bound M
 MAX_GRID_CELLS = 1 << 24  # M**D
 MAX_TABLE_CELLS = 1 << 26  # entries of one binomial table
 
+# The exact contractions (mahler_transform, evaluate_on_grid and the batch
+# path of DefiningFunctionEstimate.predict_residue_batch) sum at most
+# MAX_AXIS_EXTENT products of two residues in int64 before reducing mod
+# p**E.  Such a sum stays below 2**52, so none of them can overflow.
+assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**63
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division; parameter bases are small by design."""
@@ -121,6 +127,17 @@ def valuation(x: int, p: int, cap: int) -> int:
     return v
 
 
+def as_coordinates(values) -> np.ndarray:
+    """values as an int64 array, rejecting anything not already integral.
+
+    bool, float and object arrays raise instead of being truncated.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"coordinates must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
+
+
 def _check_point(params: LearningParams, point) -> list[int]:
     coords = [int(c) for c in np.atleast_1d(np.asarray(point)).tolist()]
     if len(coords) != params.D:
@@ -166,31 +183,7 @@ def expand_batch(params: LearningParams, points: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class BinomialTable:
-    """Dense table of C(n, k) mod p**E built by the Pascal recurrence."""
-
-    p: int
-    E: int
-    data: np.ndarray
-
-    @property
-    def nmax(self) -> int:
-        return self.data.shape[0] - 1
-
-    @property
-    def kmax(self) -> int:
-        return self.data.shape[1] - 1
-
-    def choose(self, n: int, k: int) -> int:
-        if not (0 <= n <= self.nmax and 0 <= k <= self.kmax):
-            raise ValueError(
-                f"C({n}, {k}) outside table range n <= {self.nmax}, k <= {self.kmax}"
-            )
-        return int(self.data[n, k])
-
-
-def binomial_table(p: int, E: int, nmax: int, kmax: int) -> BinomialTable:
+def binomial_table(p: int, E: int, nmax: int, kmax: int) -> np.ndarray:
     """Tabulate C(n, k) mod p**E for all n <= nmax, k <= kmax.
 
     Args:
@@ -200,8 +193,8 @@ def binomial_table(p: int, E: int, nmax: int, kmax: int) -> BinomialTable:
         kmax: largest lower argument covered.
 
     Returns:
-        A BinomialTable whose rows satisfy the Pascal recurrence mod p**E
-        and vanish for k > n.
+        An int64 array t with t[n, k] = C(n, k) mod p**E; its rows satisfy
+        the Pascal recurrence mod p**E and vanish for k > n.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -222,4 +215,4 @@ def binomial_table(p: int, E: int, nmax: int, kmax: int) -> BinomialTable:
     for n in range(1, nmax + 1):
         # zero entries beyond the diagonal stay zero under the recurrence
         data[n, 1:] = (data[n - 1, 1:] + data[n - 1, :-1]) % mod
-    return BinomialTable(p, E, data)
+    return data

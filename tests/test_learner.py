@@ -46,6 +46,11 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet(params, [(1, 2, 3)])
 
+    def test_float_coordinates_rejected(self):
+        params = LearningParams(p=2, E=3, D=1, M=4)
+        with pytest.raises(ValueError):
+            SampleSet(params, [[1.7]])
+
 
 class TestValueGrid:
     def test_samples_hit_zero(self):
@@ -175,6 +180,18 @@ class TestPredict:
         est = learn(SampleSet(params, [(0,)]))
         assert est.predict_residue_batch(np.empty((0, 1), dtype=np.int64)).size == 0
 
+    def test_bool_point_rejected(self):
+        params = LearningParams(p=2, E=2, D=1, M=2)
+        est = learn(SampleSet(params, [(0,)]))
+        with pytest.raises(ValueError):
+            est.predict_residue((True,))
+
+    def test_float_batch_rejected(self):
+        params = LearningParams(p=2, E=2, D=1, M=2)
+        est = learn(SampleSet(params, [(0,)]))
+        with pytest.raises(ValueError):
+            est.predict_residue_batch(np.array([[2.9]]))
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -186,7 +203,7 @@ class TestPersistence:
         back = DefiningFunctionEstimate.load(path)
         assert back.params == est.params
         assert np.array_equal(back.coeffs.data, est.coeffs.data)
-        assert np.array_equal(back.table.data, est.table.data)
+        assert np.array_equal(back.table, est.table)
         path2 = tmp_path / "model2.txt"
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
@@ -200,6 +217,18 @@ class TestPersistence:
         back = DefiningFunctionEstimate.load(path)
         pts = np.array([(a, b) for a in range(8) for b in range(8)])
         assert np.array_equal(est.predict_residue_batch(pts), back.predict_residue_batch(pts))
+
+    def test_cutoff_header_with_outside_coefficients_rejected(self, tmp_path):
+        params = LearningParams(p=2, E=4, D=1, M=4)
+        est = learn(SampleSet(params, [(0,)]))
+        assert est.coeffs.data[2:].any()
+        path = tmp_path / "model.txt"
+        est.save(path)
+        head, rows = path.read_text().split("\n", 1)
+        assert head == "2 4 1 4 4"
+        path.write_text("2 4 1 4 2\n" + rows)
+        with pytest.raises(ValueError):
+            DefiningFunctionEstimate.load(path)
 
     def test_header_validation(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -142,6 +142,12 @@ class TestOracle1d:
             values = rng.integers(0, p**E, size=n)
             grid = ResidueGrid(params, values)
             assert mahler_transform(grid).data.tolist() == mahler_coeffs_1d(values, params).tolist()
+        # the extents the workloads use, where the signed matrix is large
+        for p, E, n in ((2, 10, 100), (3, 12, 64)):
+            params = LearningParams(p=p, E=E, D=1, M=n)
+            values = rng.integers(0, p**E, size=n)
+            grid = ResidueGrid(params, values)
+            assert mahler_transform(grid).data.tolist() == mahler_coeffs_1d(values, params).tolist()
 
     def test_tensor_product_oracle_matches(self):
         rng = np.random.default_rng(23)

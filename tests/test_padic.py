@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from padiclearn.padic import (
-    BinomialTable,
     LearningParams,
     binomial_table,
     expand,
@@ -152,9 +151,9 @@ class TestExpand:
 
 class TestBinomialTable:
     def test_examples(self):
-        assert binomial_table(2, 10, 4, 2).choose(4, 2) == 6
-        assert binomial_table(2, 3, 10, 5).choose(10, 5) == 4
-        assert binomial_table(5, 1, 5, 2).choose(5, 2) == 0
+        assert binomial_table(2, 10, 4, 2)[4, 2] == 6
+        assert binomial_table(2, 3, 10, 5)[10, 5] == 4
+        assert binomial_table(5, 1, 5, 2)[5, 2] == 0
 
     def test_matches_exact_binomials(self):
         rng = np.random.default_rng(4)
@@ -162,10 +161,10 @@ class TestBinomialTable:
         for _ in range(300):
             n = int(rng.integers(0, 61))
             k = int(rng.integers(0, 41))
-            assert table.choose(n, k) == math.comb(n, k) % 3**4
+            assert table[n, k] == math.comb(n, k) % 3**4
 
     def test_pascal_recurrence(self):
-        t = binomial_table(2, 5, 30, 20).data
+        t = binomial_table(2, 5, 30, 20)
         mod = 32
         assert np.array_equal(t[1:, 1:], (t[:-1, 1:] + t[:-1, :-1]) % mod)
 
@@ -173,21 +172,11 @@ class TestBinomialTable:
         t = binomial_table(2, 4, 8, 8)
         for n in range(9):
             for k in range(n + 1, 9):
-                assert t.choose(n, k) == 0
+                assert t[n, k] == 0
 
     def test_first_column_ones(self):
         t = binomial_table(7, 1, 12, 3)
-        assert np.array_equal(t.data[:, 0], np.ones(13, dtype=np.int64))
-
-    def test_range_errors(self):
-        t = binomial_table(2, 4, 8, 4)
-        assert (t.nmax, t.kmax) == (8, 4)
-        with pytest.raises(ValueError):
-            t.choose(9, 0)
-        with pytest.raises(ValueError):
-            t.choose(0, 5)
-        with pytest.raises(ValueError):
-            t.choose(-1, 0)
+        assert np.array_equal(t[:, 0], np.ones(13, dtype=np.int64))
 
     def test_build_validation(self):
         with pytest.raises(ValueError):
@@ -197,7 +186,8 @@ class TestBinomialTable:
         with pytest.raises(ValueError):
             binomial_table(2, 2, 1 << 14, 1 << 13)  # capacity
 
-    def test_is_dataclass_with_array(self):
-        t = binomial_table(2, 2, 3, 3)
-        assert isinstance(t, BinomialTable)
-        assert t.data.dtype == np.int64
+    def test_plain_int64_array(self):
+        t = binomial_table(2, 4, 8, 4)
+        assert isinstance(t, np.ndarray)
+        assert t.dtype == np.int64
+        assert t.shape == (9, 5)
