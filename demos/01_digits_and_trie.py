@@ -8,7 +8,9 @@ digit trie answers "how close is the nearest stored point" queries.
 
 import numpy as np
 
-from padiclearn import LearningParams, PadicTrie, expand, valuation
+from padiclearn import LearningParams
+from padiclearn.padic import expand, valuation
+from padiclearn.trie import PadicTrie
 
 # Work in Z_2 with 3 digits of precision and 2 coordinates per point.
 params = LearningParams(p=2, E=3, D=2, M=8)

@@ -14,7 +14,6 @@ from padiclearn import (
     LearningParams,
     ResidueGrid,
     binomial_table,
-    evaluate,
     evaluate_on_grid,
     mahler_transform,
 )
@@ -30,10 +29,11 @@ print(f"values       {grid.data}")
 print(f"coefficients {coeffs.data}")
 
 # x^2 = 0*C(x,0) + 1*C(x,1) + 2*C(x,2), so the series is exact
-# everywhere, not just on the sampled window.
+# everywhere, not just on the sampled window.  evaluate_on_grid takes
+# one array of query coordinates per axis.
 table = binomial_table(p, E, nmax=mod - 1, kmax=3)
-for x in (5, 10, 31):
-    got = evaluate(coeffs, (x,), table)
+far = np.array([5, 10, 31])
+for x, got in zip(far, evaluate_on_grid(coeffs, [far], table)):
     print(f"series at {x}: {got}   (x^2 mod {mod} = {x * x % mod})")
 
 # Two dimensions: the transform runs axis by axis, so a product

@@ -8,14 +8,7 @@ Nim benchmark exercises the whole stack end to end.
 """
 
 from .learner import DefiningFunctionEstimate, SampleSet, build_value_grid, learn
-from .mahler import (
-    ResidueGrid,
-    dump_coefficients,
-    evaluate,
-    evaluate_on_grid,
-    mahler_coeffs_1d,
-    mahler_transform,
-)
+from .mahler import ResidueGrid, dump_coefficients, evaluate_on_grid, mahler_transform
 from .nim import (
     BENCHMARK_PARAMS,
     BenchmarkReport,
@@ -25,14 +18,7 @@ from .nim import (
     sample_p_positions,
     trivial_baseline,
 )
-from .padic import (
-    LearningParams,
-    binomial_table,
-    expand,
-    expand_batch,
-    valuation,
-)
-from .trie import PadicTrie
+from .padic import LearningParams, binomial_table
 
 __version__ = "0.1.0"
 
@@ -41,23 +27,17 @@ __all__ = [
     "BenchmarkReport",
     "DefiningFunctionEstimate",
     "LearningParams",
-    "PadicTrie",
     "ResidueGrid",
     "SampleSet",
     "binomial_table",
     "build_value_grid",
     "dump_coefficients",
-    "evaluate",
     "evaluate_on_grid",
-    "expand",
-    "expand_batch",
     "generate_p_positions",
     "grundy_nim",
     "learn",
-    "mahler_coeffs_1d",
     "mahler_transform",
     "run_task",
     "sample_p_positions",
     "trivial_baseline",
-    "valuation",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 
 from .mahler import (
     ResidueGrid,
-    evaluate,
     evaluate_on_grid,
     mahler_transform,
     read_coefficient_rows,
@@ -78,24 +77,23 @@ def build_value_grid(samples: SampleSet) -> ResidueGrid:
 def learn(samples: SampleSet) -> "DefiningFunctionEstimate":
     """Train an estimate: grid fill, Mahler transform, truncation.
 
-    With L < M every coefficient whose multi-index has a component >= L
-    is zeroed; the stored grid keeps its M**D shape so that models with
-    different cutoffs stay byte-compatible.
+    The model keeps the L**D window of coefficients whose every index is
+    below L; the rest of the M**D transform is dropped.
     """
     params = samples.params
     coeffs = mahler_transform(build_value_grid(samples))
-    if params.L < params.M:
-        window = (slice(0, params.L),) * params.D
-        kept = np.zeros_like(coeffs.data)
-        kept[window] = coeffs.data[window]
-        coeffs = ResidueGrid(params, kept)
-    table = binomial_table(params.p, params.E, nmax=params.modulus - 1, kmax=params.M - 1)
-    return DefiningFunctionEstimate(params, coeffs, table)
+    return _estimate(params, coeffs.data[(slice(0, params.L),) * params.D])
+
+
+def _estimate(params: LearningParams, window: np.ndarray) -> "DefiningFunctionEstimate":
+    """Estimate over an L**D coefficient window, with its binomial table."""
+    table = binomial_table(params.p, params.E, nmax=params.modulus - 1, kmax=params.L - 1)
+    return DefiningFunctionEstimate(params, ResidueGrid(params, window), table)
 
 
 @dataclass(frozen=True, eq=False)
 class DefiningFunctionEstimate:
-    """Trained model: coefficient grid plus the table needed to evaluate it.
+    """Trained model: the L**D coefficient window plus the table that evaluates it.
 
     Predictions are defined on [0, p**E)**D only; the series is a residue
     mod p**E and coordinates are read at precision E.
@@ -116,8 +114,7 @@ class DefiningFunctionEstimate:
         pts = np.atleast_1d(as_coordinates(point))
         if pts.shape != (self.params.D,):
             raise ValueError(f"point must have D = {self.params.D} coordinates")
-        self._check_domain(pts)
-        return evaluate(self.coeffs, pts, self.table)
+        return int(self.predict_residue_batch(pts.reshape(1, -1))[0])
 
     def is_member(self, point) -> bool:
         """Membership verdict: the residue vanished at working precision."""
@@ -179,7 +176,7 @@ class DefiningFunctionEstimate:
         return evaluate_on_grid(self.coeffs, checked, self.table)
 
     def save(self, path):
-        """Model file: `p E D M L` header, then the coefficient rows."""
+        """Model file: `p E D M L` header, then the L**D coefficient rows."""
         params = self.params
         with open(path, "w") as fh:
             fh.write(f"{params.p} {params.E} {params.D} {params.M} {params.L}\n")
@@ -197,10 +194,5 @@ class DefiningFunctionEstimate:
             except ValueError as exc:
                 raise ValueError(f"bad model header {head!r}") from exc
             params = LearningParams(p=p, E=E, D=D, M=M, L=L)
-            data = read_coefficient_rows(fh, params.D, params.M, params.modulus)
-        window = (slice(0, params.L),) * params.D
-        if np.count_nonzero(data) != np.count_nonzero(data[window]):
-            raise ValueError(f"model holds nonzero coefficients outside the L = {L} window")
-        coeffs = ResidueGrid(params, data)
-        table = binomial_table(params.p, params.E, nmax=params.modulus - 1, kmax=params.M - 1)
-        return cls(params, coeffs, table)
+            data = read_coefficient_rows(fh, params.D, params.L, params.modulus)
+        return _estimate(params, data)

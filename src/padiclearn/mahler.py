@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .padic import LearningParams, binomial_table
+from .padic import LearningParams, as_coordinates, binomial_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,14 +28,16 @@ class ResidueGrid:
     """Cube-shaped D-dimensional array of residues mod p**E.
 
     The same container stores value grids (extent M, indexed by grid
-    points) and coefficient grids (indexed by basis multi-indices).
+    points) and coefficient grids (indexed by basis multi-indices; a
+    trained model keeps the window of extent L).  Entries must already be
+    integers: bool and float data are rejected, not truncated.
     """
 
     params: LearningParams
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.int64)
+        data = np.ascontiguousarray(as_coordinates(self.data))
         if data.ndim != self.params.D:
             raise ValueError(f"grid has {data.ndim} axes, expected D = {self.params.D}")
         extent = data.shape[0]
@@ -130,15 +132,6 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
     axes = _check_axes(coeffs, axes, table)
     rows = (table[a, : coeffs.extent] for a in axes)
     return _contract(coeffs.data, rows, coeffs.params.modulus)
-
-
-def evaluate(coeffs: ResidueGrid, point, table: np.ndarray) -> int:
-    """Sum of c_l * prod_d C(x_d, l_d) over the whole coefficient grid."""
-    coords = np.atleast_1d(np.asarray(point, dtype=np.int64))
-    if coords.shape != (coeffs.params.D,):
-        raise ValueError(f"point must have D = {coeffs.params.D} coordinates")
-    singleton_axes = [coords[d : d + 1] for d in range(coeffs.params.D)]
-    return int(evaluate_on_grid(coeffs, singleton_axes, table).reshape(()))
 
 
 def write_coefficient_rows(fh, data: np.ndarray):

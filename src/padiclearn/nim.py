@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .learner import DefiningFunctionEstimate
+from .learner import _CHUNK_CELLS, DefiningFunctionEstimate
 from .padic import LearningParams
 
 BENCHMARK_PARAMS = LearningParams(p=2, E=10, D=3, M=100)
@@ -136,11 +136,28 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _xor_truth_grid(D_free: int, bound: int) -> np.ndarray:
+def _xor_grid(axes) -> np.ndarray:
     acc = np.array(0, dtype=np.int64)
-    for _ in range(D_free):
-        acc = np.bitwise_xor.outer(acc, np.arange(bound, dtype=np.int64))
+    for axis in axes:
+        acc = np.bitwise_xor.outer(acc, axis)
     return acc
+
+
+def _plane_slabs(bound: int, D: int, cap: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges of x1 that cut the x0 = 0 plane into slabs of <= cap cells.
+
+    With D = 1 the plane is the single point x0 = 0, one slab.
+    """
+    if D == 1:
+        return [(0, 1)]
+    per_x1 = bound ** (D - 2)
+    if per_x1 > cap:
+        raise ValueError(
+            f"one x1 slab of the task 2 plane holds {per_x1} cells, over the sweep "
+            f"limit of {cap}; run task 2 with --mode subsample instead"
+        )
+    step = cap // per_x1
+    return [(lo, min(lo + step, bound)) for lo in range(0, bound, step)]
 
 
 def run_task(
@@ -154,7 +171,9 @@ def run_task(
     """Run one benchmark task and return its report.
 
     Tasks 1 and 3 draw `trials` seeded random points.  Tasks 2 and 4 are
-    exhaustive and ignore `trials` and `seed`; task 2 alternatively runs
+    exhaustive and ignore `trials` and `seed`.  Exhaustive task 2 sweeps
+    the plane in x_1 slabs of bounded size and raises ValueError when one
+    slab alone is too large; task 2 alternatively runs
     with mode="subsample", which grades a stratified random subset of the
     plane (sample_size points spread evenly over the x_1 strata, remaining
     coordinates uniform) and attaches a 95% Wilson interval to the
@@ -182,10 +201,12 @@ def run_task(
         n, rep_seed, rep_mode, ci = trials, seed, "random", None
 
     elif task == 2 and mode == "exhaustive":
-        axes = [np.array([0])] + [np.arange(bound)] * (P.D - 1)
-        residues = est.predict_residue_grid(axes)
-        truth = _xor_truth_grid(P.D - 1, bound) == 0
-        failures = int(np.count_nonzero((residues == 0) != truth))
+        failures = 0
+        for lo, hi in _plane_slabs(bound, P.D, _CHUNK_CELLS):
+            # D = 1 keeps only the x0 axis
+            axes = ([np.array([0]), np.arange(lo, hi)] + [np.arange(bound)] * (P.D - 2))[: P.D]
+            residues = est.predict_residue_grid(axes)
+            failures += int(np.count_nonzero((residues == 0) != (_xor_grid(axes) == 0)))
         n, rep_seed, rep_mode, ci = bound ** (P.D - 1), None, "exhaustive", None
 
     elif task == 2:

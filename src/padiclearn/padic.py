@@ -134,7 +134,7 @@ def as_coordinates(values) -> np.ndarray:
     """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
-        raise ValueError(f"coordinates must be integers, got dtype {arr.dtype}")
+        raise ValueError(f"expected integer values, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
 
 

@@ -2,11 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from oracles import series_value
 
 from padiclearn.mahler import (
     ResidueGrid,
     dump_coefficients,
-    evaluate,
     evaluate_on_grid,
     mahler_coeffs_1d,
     mahler_transform,
@@ -56,6 +56,13 @@ class TestResidueGrid:
             ResidueGrid(params_1d(E=2), np.array([0, 4]))
         with pytest.raises(ValueError):
             ResidueGrid(params_1d(E=2), np.array([-1, 0]))
+
+    def test_rejects_non_integer_data(self):
+        params = LearningParams(p=2, E=4, D=1, M=3)
+        with pytest.raises(ValueError):
+            ResidueGrid(params, np.array([0.5, 1.9, 3.99]))
+        with pytest.raises(ValueError):
+            ResidueGrid(params, np.array([True, False, True]))
 
     def test_minimum_extent(self):
         with pytest.raises(ValueError):
@@ -167,19 +174,20 @@ class TestEvaluate:
         params = params_1d(M=3)
         coeffs = ResidueGrid(params, np.array([0, 1, 0]))
         table = binomial_table(2, 10, 8, 2)
-        assert evaluate(coeffs, (5,), table) == 5
+        assert evaluate_on_grid(coeffs, [np.array([5])], table).tolist() == [5]
 
     def test_zero_function(self):
         params = LearningParams(p=3, E=3, D=2, M=2)
         coeffs = ResidueGrid(params, np.zeros((2, 2), dtype=np.int64))
         table = binomial_table(3, 3, 20, 1)
-        assert evaluate(coeffs, (7, 13), table) == 0
+        axes = [np.array([7]), np.array([13])]
+        assert evaluate_on_grid(coeffs, axes, table).tolist() == [[0]]
 
     def test_squares_at_ten(self):
         params = params_1d()
         coeffs = ResidueGrid(params, np.array([0, 1, 2, 0]))
         table = binomial_table(2, 10, 10, 3)
-        assert evaluate(coeffs, (10,), table) == 100
+        assert evaluate_on_grid(coeffs, [np.array([10])], table).tolist() == [100]
 
     def test_round_trip_on_grid(self):
         rng = np.random.default_rng(24)
@@ -200,7 +208,7 @@ class TestEvaluate:
         grid_vals = evaluate_on_grid(coeffs, axes, table)
         for i, x in enumerate(axes[0]):
             for j, y in enumerate(axes[1]):
-                assert grid_vals[i, j] == evaluate(coeffs, (int(x), int(y)), table)
+                assert grid_vals[i, j] == series_value(coeffs.data, (x, y), params.modulus)
 
     def test_polynomial_exactness(self):
         # any polynomial of degree < extent is reproduced beyond the grid
@@ -217,26 +225,26 @@ class TestEvaluate:
             coeffs = mahler_transform(ResidueGrid(params, values))
             table = binomial_table(2, E, mod - 1, n - 1)
             for x in (n, n + 3, mod - 1):
-                assert evaluate(coeffs, (x,), table) == f(x) % mod
+                assert evaluate_on_grid(coeffs, [np.array([x])], table)[0] == f(x) % mod
 
     def test_table_coverage_errors(self):
         params = params_1d(M=4)
         coeffs = ResidueGrid(params, np.array([0, 1, 2, 0]))
         small_k = binomial_table(2, 10, 10, 2)
         with pytest.raises(ValueError):
-            evaluate(coeffs, (1,), small_k)
+            evaluate_on_grid(coeffs, [np.array([1])], small_k)
         small_n = binomial_table(2, 10, 5, 3)
         with pytest.raises(ValueError):
-            evaluate(coeffs, (6,), small_n)
+            evaluate_on_grid(coeffs, [np.array([6])], small_n)
 
     def test_point_shape_errors(self):
         params = params_1d(M=2)
         coeffs = ResidueGrid(params, np.array([0, 1]))
         table = binomial_table(2, 10, 4, 1)
         with pytest.raises(ValueError):
-            evaluate(coeffs, (1, 2), table)
+            evaluate_on_grid(coeffs, [np.array([1]), np.array([2])], table)
         with pytest.raises(ValueError):
-            evaluate_on_grid(coeffs, [np.array([0]), np.array([1])], table)
+            evaluate_on_grid(coeffs, [], table)
 
 
 class TestDumpFormat:

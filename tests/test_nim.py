@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from padiclearn import nim
 from padiclearn.learner import SampleSet, learn
 from padiclearn.nim import (
     BENCHMARK_PARAMS,
     BenchmarkReport,
+    _plane_slabs,
     generate_p_positions,
     grundy_nim,
     run_task,
@@ -156,6 +158,38 @@ class TestRunTask(object):
         member = small_estimate.is_member_batch(pts)
         truth = np.bitwise_xor.reduce(pts, axis=1) == 0
         assert r2.failures == int(np.count_nonzero(member != truth))
+
+    def test_plane_slab_planner(self):
+        cap = 1 << 22
+        assert _plane_slabs(1024, 1, cap) == [(0, 1)]
+        assert _plane_slabs(1024, 2, cap) == [(0, 1024)]
+        assert _plane_slabs(1024, 3, cap) == [(0, 1024)]
+        # D=4 at E=10: 2**20 cells per x1 value, four x1 values per slab
+        slabs = _plane_slabs(1024, 4, cap)
+        assert len(slabs) == 256 and slabs[0] == (0, 4) and slabs[-1] == (1020, 1024)
+        # uneven split: slabs tile [0, bound) in order, none over the cap
+        slabs = _plane_slabs(64, 3, 64 * 5)
+        assert slabs[0][0] == 0 and slabs[-1] == (60, 64)
+        assert all(a[1] == b[0] for a, b in zip(slabs, slabs[1:]))
+        assert all(0 < (hi - lo) * 64 <= 64 * 5 for lo, hi in slabs)
+        with pytest.raises(ValueError, match="subsample"):
+            _plane_slabs(1024, 5, cap)
+        with pytest.raises(ValueError, match="subsample"):
+            _plane_slabs(64, 3, 63)
+
+    def test_task2_slabs_match_one_sweep(self, small_estimate, monkeypatch):
+        whole = run_task(small_estimate, 2)
+        monkeypatch.setattr(nim, "_CHUNK_CELLS", 64 * 5)
+        assert len(_plane_slabs(64, 3, nim._CHUNK_CELLS)) == 13
+        sliced = run_task(small_estimate, 2)
+        assert sliced.failures == whole.failures and sliced.trials == whole.trials
+
+    def test_task2_oversized_slab_points_at_subsample(self):
+        # D=5 at E=10: one x1 slab is 2**30 cells, over the sweep limit
+        params = LearningParams(p=2, E=10, D=5, M=2)
+        est = learn(SampleSet(params, generate_p_positions(5, 2)))
+        with pytest.raises(ValueError, match="--mode subsample"):
+            run_task(est, 2)
 
     def test_subsample_mode(self, small_estimate):
         r = run_task(small_estimate, 2, mode="subsample", seed=3, sample_size=1000)
