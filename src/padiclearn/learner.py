@@ -21,7 +21,7 @@ from .mahler import (
     read_coefficient_rows,
     write_coefficient_rows,
 )
-from .padic import LearningParams, as_coordinates, binomial_table
+from .padic import LearningParams, as_points, binomial_table
 from .trie import PadicTrie
 
 # grid fill and batched prediction work through scratch arrays of at most
@@ -41,15 +41,9 @@ class SampleSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = as_coordinates(self.points)
-        if pts.ndim == 1 and pts.size == self.params.D:
-            pts = pts.reshape(1, -1)
-        if pts.ndim != 2 or pts.shape[1] != self.params.D:
-            raise ValueError(f"expected an (n, {self.params.D}) point array, got {pts.shape}")
+        pts = as_points(np.atleast_2d(self.points), self.params.D, bound=self.params.M)
         if pts.shape[0] == 0:
             raise ValueError("sample set must not be empty")
-        if pts.min() < 0 or pts.max() >= self.params.M:
-            raise ValueError(f"sample coordinates must lie in [0, M) = [0, {self.params.M})")
         object.__setattr__(self, "points", np.unique(pts, axis=0))
 
     def __len__(self) -> int:
@@ -103,18 +97,9 @@ class DefiningFunctionEstimate:
     coeffs: ResidueGrid
     table: np.ndarray
 
-    def _check_domain(self, pts: np.ndarray):
-        if pts.size and (pts.min() < 0 or pts.max() >= self.params.modulus):
-            raise ValueError(
-                f"prediction domain is [0, p**E)**D = [0, {self.params.modulus})**{self.params.D}"
-            )
-
     def predict_residue(self, point) -> int:
         """Estimated defining-function value mod p**E at one point."""
-        pts = np.atleast_1d(as_coordinates(point))
-        if pts.shape != (self.params.D,):
-            raise ValueError(f"point must have D = {self.params.D} coordinates")
-        return int(self.predict_residue_batch(pts.reshape(1, -1))[0])
+        return int(self.predict_residue_batch(np.reshape(point, (1, -1)))[0])
 
     def is_member(self, point) -> bool:
         """Membership verdict: the residue vanished at working precision."""
@@ -127,10 +112,7 @@ class DefiningFunctionEstimate:
         one partial contraction of the coefficient grid, so the per-point
         work drops from L**D to L**(D-1).
         """
-        pts = as_coordinates(points)
-        if pts.ndim != 2 or pts.shape[1] != self.params.D:
-            raise ValueError(f"expected an (n, {self.params.D}) point array, got {pts.shape}")
-        self._check_domain(pts)
+        pts = as_points(points, self.params.D, bound=self.params.modulus)
         if pts.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         mod = self.params.modulus
@@ -170,10 +152,7 @@ class DefiningFunctionEstimate:
 
     def predict_residue_grid(self, axes) -> np.ndarray:
         """Residues over a product grid; axes as in evaluate_on_grid."""
-        checked = [as_coordinates(a).reshape(-1) for a in axes]
-        for arr in checked:
-            self._check_domain(arr)
-        return evaluate_on_grid(self.coeffs, checked, self.table)
+        return evaluate_on_grid(self.coeffs, axes, self.table)
 
     def save(self, path):
         """Model file: `p E D M L` header, then the L**D coefficient rows."""

@@ -114,7 +114,7 @@ def _check_axes(coeffs: ResidueGrid, axes, table: np.ndarray):
         raise ValueError(f"got {len(axes)} axes, expected D = {params.D}")
     checked = []
     for a in axes:
-        arr = np.asarray(a, dtype=np.int64).reshape(-1)
+        arr = as_coordinates(a).reshape(-1)
         if arr.size and (arr.min() < 0 or arr.max() > nmax):
             raise ValueError(f"axis values must lie in [0, {nmax}]")
         checked.append(arr)

@@ -15,15 +15,13 @@ member or a false alarm, whichever the task can exhibit.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .learner import _CHUNK_CELLS, DefiningFunctionEstimate
-from .padic import LearningParams
+from .padic import LearningParams, as_coordinates
 
 BENCHMARK_PARAMS = LearningParams(p=2, E=10, D=3, M=100)
 
@@ -32,10 +30,10 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 def grundy_nim(point) -> int:
     """Grundy value of a Nim position: the XOR of its heap sizes."""
-    coords = [int(c) for c in np.atleast_1d(np.asarray(point)).tolist()]
-    if any(c < 0 for c in coords):
-        raise ValueError(f"heap sizes must be natural numbers, got {tuple(coords)}")
-    return reduce(operator.xor, coords, 0)
+    coords = np.atleast_1d(as_coordinates(point))
+    if (coords < 0).any():
+        raise ValueError(f"heap sizes must be natural numbers, got {tuple(coords.tolist())}")
+    return int(np.bitwise_xor.reduce(coords))
 
 
 def generate_p_positions(D: int, bounds) -> np.ndarray:
@@ -191,16 +189,7 @@ def run_task(
     bound = P.modulus
     t0 = time.perf_counter()
 
-    if task == 1:
-        if trials is None or trials < 1:
-            raise ValueError("task 1 needs a positive trial count")
-        rng = np.random.default_rng(seed)
-        pts = rng.integers(0, bound, size=(trials, P.D), dtype=np.int64)
-        truth = np.bitwise_xor.reduce(pts, axis=1) == 0
-        failures = int(np.count_nonzero(est.is_member_batch(pts) != truth))
-        n, rep_seed, rep_mode, ci = trials, seed, "random", None
-
-    elif task == 2 and mode == "exhaustive":
+    if task == 2 and mode == "exhaustive":
         failures = 0
         for lo, hi in _plane_slabs(bound, P.D, _CHUNK_CELLS):
             # D = 1 keeps only the x0 axis
@@ -208,38 +197,39 @@ def run_task(
             residues = est.predict_residue_grid(axes)
             failures += int(np.count_nonzero((residues == 0) != (_xor_grid(axes) == 0)))
         n, rep_seed, rep_mode, ci = bound ** (P.D - 1), None, "exhaustive", None
-
-    elif task == 2:
-        if P.D < 3:
-            raise ValueError("subsample mode needs D >= 3: one stratified axis plus random axes")
-        if sample_size < 1:
-            raise ValueError(f"sample_size must be positive, got {sample_size}")
-        rng = np.random.default_rng(seed)
-        quota = -(-sample_size // bound)
-        x1 = np.repeat(np.arange(bound, dtype=np.int64), quota)
-        rest = rng.integers(0, bound, size=(x1.size, P.D - 2), dtype=np.int64)
-        pts = np.column_stack([np.zeros(x1.size, dtype=np.int64), x1, rest])
+    else:
+        if task in (1, 3) and (trials is None or trials < 1):
+            raise ValueError(f"task {task} needs a positive trial count")
+        if task == 1:
+            rng = np.random.default_rng(seed)
+            pts = rng.integers(0, bound, size=(trials, P.D), dtype=np.int64)
+            rep_seed, rep_mode = seed, "random"
+        elif task == 2:
+            if P.D < 3:
+                raise ValueError(
+                    "subsample mode needs D >= 3: one stratified axis plus random axes"
+                )
+            if sample_size < 1:
+                raise ValueError(f"sample_size must be positive, got {sample_size}")
+            rng = np.random.default_rng(seed)
+            quota = -(-sample_size // bound)
+            x1 = np.repeat(np.arange(bound, dtype=np.int64), quota)
+            rest = rng.integers(0, bound, size=(x1.size, P.D - 2), dtype=np.int64)
+            pts = np.column_stack([np.zeros(x1.size, dtype=np.int64), x1, rest])
+            rep_seed, rep_mode = seed, "subsample"
+        elif task == 3:
+            pts = sample_p_positions(np.random.default_rng(seed), P.D, bound, trials)
+            rep_seed, rep_mode = seed, "random"
+        else:
+            if bound < 64:
+                raise ValueError("task/params mismatch: task 4 needs 64 <= 2**E")
+            pts = generate_p_positions(P.D, (64,) + (bound,) * (P.D - 1))
+            rep_seed, rep_mode = None, "exhaustive"
+        # tasks 3 and 4 query members only, so every failure there is a miss
         truth = np.bitwise_xor.reduce(pts, axis=1) == 0
         failures = int(np.count_nonzero(est.is_member_batch(pts) != truth))
         n = pts.shape[0]
-        ci = _wilson_95(n - failures, n)
-        rep_seed, rep_mode = seed, "subsample"
-
-    elif task == 3:
-        if trials is None or trials < 1:
-            raise ValueError("task 3 needs a positive trial count")
-        rng = np.random.default_rng(seed)
-        pts = sample_p_positions(rng, P.D, bound, trials)
-        # every query is a true member, so any nonzero residue is a miss
-        failures = int(np.count_nonzero(est.predict_residue_batch(pts) != 0))
-        n, rep_seed, rep_mode, ci = trials, seed, "random", None
-
-    else:
-        if bound < 64:
-            raise ValueError("task/params mismatch: task 4 needs 64 <= 2**E")
-        pts = generate_p_positions(P.D, (64,) + (bound,) * (P.D - 1))
-        failures = int(np.count_nonzero(est.predict_residue_batch(pts) != 0))
-        n, rep_seed, rep_mode, ci = pts.shape[0], None, "exhaustive", None
+        ci = _wilson_95(n - failures, n) if rep_mode == "subsample" else None
 
     ms = int(round((time.perf_counter() - t0) * 1000))
     return BenchmarkReport(task, P, rep_seed, n, failures, ms, rep_mode, ci)

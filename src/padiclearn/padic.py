@@ -130,50 +130,47 @@ def valuation(x: int, p: int, cap: int) -> int:
 def as_coordinates(values) -> np.ndarray:
     """values as an int64 array, rejecting anything not already integral.
 
-    bool, float and object arrays raise instead of being truncated.
+    bool, float and object arrays raise instead of being truncated; an
+    empty array has nothing to truncate and passes whatever its dtype.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
+    if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"expected integer values, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
 
 
-def _check_point(params: LearningParams, point) -> list[int]:
-    coords = [int(c) for c in np.atleast_1d(np.asarray(point)).tolist()]
-    if len(coords) != params.D:
-        raise ValueError(f"point has {len(coords)} coordinates, expected D = {params.D}")
-    if any(c < 0 for c in coords):
-        raise ValueError(f"coordinates must be natural numbers, got {tuple(coords)}")
-    return coords
+def as_points(values, D: int, bound: int | None = None) -> np.ndarray:
+    """values as an (n, D) int64 array of natural numbers below bound.
+
+    The one gate for point input: non-integer dtypes, a wrong shape,
+    negative coordinates and (when bound is given) coordinates at or
+    above bound raise ValueError.
+    """
+    pts = as_coordinates(values)
+    if pts.ndim != 2 or pts.shape[1] != D:
+        raise ValueError(f"expected an (n, {D}) point array, got shape {pts.shape}")
+    if pts.size and pts.min() < 0:
+        raise ValueError("coordinates must be natural numbers")
+    if bound is not None and pts.size and pts.max() >= bound:
+        raise ValueError(f"coordinates must lie in [0, {bound})")
+    return pts
 
 
 def expand(params: LearningParams, point) -> np.ndarray:
-    """Interleaved base-p digit string of a D-vector.
-
-    Output index e*D + d holds the (e+1)-th base-p digit of coordinate d,
-    so the string cycles through all coordinates once per digit round.
-    Coordinates at or above p**E silently lose their high digits.
-    """
-    coords = _check_point(params, point)
-    out = np.empty(params.digit_count, dtype=np.int64)
-    for e in range(params.E):
-        for d in range(params.D):
-            out[e * params.D + d] = coords[d] % params.p
-            coords[d] //= params.p
-    return out
+    """Interleaved base-p digit string of one D-vector: one row of expand_batch."""
+    return expand_batch(params, np.reshape(point, (1, -1)))[0]
 
 
-def expand_batch(params: LearningParams, points: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`expand` for an (n, D) array of points.
+def expand_batch(params: LearningParams, points) -> np.ndarray:
+    """Interleaved base-p digit strings of an (n, D) array of points.
 
-    Returns an (n, E*D) array in the smallest unsigned dtype that holds a
+    Row i, column e*D + d holds the (e+1)-th base-p digit of coordinate d
+    of point i, so each string cycles through all coordinates once per
+    digit round.  Coordinates at or above p**E silently lose their high
+    digits.  The result is in the smallest unsigned dtype that holds a
     digit, which keeps full-grid digit tables cheap.
     """
-    pts = np.asarray(points, dtype=np.int64)
-    if pts.ndim != 2 or pts.shape[1] != params.D:
-        raise ValueError(f"expected an (n, {params.D}) point array, got shape {pts.shape}")
-    if pts.size and pts.min() < 0:
-        raise ValueError("coordinates must be natural numbers")
+    pts = as_points(points, params.D)
     dig_dtype = np.min_scalar_type(params.p - 1)
     out = np.empty((pts.shape[0], params.digit_count), dtype=dig_dtype)
     work = pts.copy()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .padic import LearningParams, expand, expand_batch
+from .padic import LearningParams, expand_batch
 
 
 class PadicTrie:
@@ -20,47 +20,34 @@ class PadicTrie:
     def __init__(self, params: LearningParams, points=()):
         self.params = params
         # children[node][digit] -> child id, -1 for absent; node 0 is the root
-        self._children: list[list[int]] = [[-1] * params.p]
-        self._matrix: np.ndarray | None = None
-        for point in np.asarray(points).reshape(-1, params.D) if len(points) else ():
-            self._insert(point)
-
-    def _insert(self, point):
-        digits = expand(self.params, point)
-        node = 0
-        for dig in digits:
-            nxt = self._children[node][int(dig)]
-            if nxt < 0:
-                nxt = len(self._children)
-                self._children[node][int(dig)] = nxt
-                self._children.append([-1] * self.params.p)
-            node = nxt
+        children = [[-1] * params.p]
+        for row in expand_batch(params, np.reshape(points, (-1, params.D))).tolist():
+            node = 0
+            for dig in row:
+                nxt = children[node][dig]
+                if nxt < 0:
+                    nxt = len(children)
+                    children[node][dig] = nxt
+                    children.append([-1] * params.p)
+                node = nxt
+        self._kids = np.asarray(children, dtype=np.int64)
 
     @property
     def node_count(self) -> int:
-        return len(self._children)
+        return self._kids.shape[0]
 
     def nns_valuation(self, point) -> int:
         """Max over indexed points of the min coordinate-wise valuation.
 
         Returns 0 from an empty trie: the root traces nothing.
         """
-        digits = expand(self.params, point)
-        node = 0
-        for i, dig in enumerate(digits):
-            node = self._children[node][int(dig)]
-            if node < 0:
-                return i // self.params.D
-        return self.params.E
+        return int(self.nns_valuation_batch(np.reshape(point, (1, -1)))[0])
 
     def nns_valuation_batch(self, points) -> np.ndarray:
-        """Vectorised nns_valuation for an (n, D) array of points."""
-        pts = np.asarray(points, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[1] != self.params.D:
-            raise ValueError(f"expected an (n, {self.params.D}) point array, got {pts.shape}")
-        digits = expand_batch(self.params, pts)
-        kids = self._child_matrix()
-        n = pts.shape[0]
+        """nns_valuation of every row of an (n, D) array of points."""
+        digits = expand_batch(self.params, points)
+        kids = self._kids
+        n = digits.shape[0]
         res = np.full(n, self.params.E, dtype=np.int64)
         cur = np.zeros(n, dtype=np.int64)
         alive = np.arange(n)
@@ -75,8 +62,3 @@ class PadicTrie:
                 nxt = nxt[~dead]
             cur[alive] = nxt
         return res
-
-    def _child_matrix(self) -> np.ndarray:
-        if self._matrix is None or self._matrix.shape[0] != len(self._children):
-            self._matrix = np.asarray(self._children, dtype=np.int64)
-        return self._matrix

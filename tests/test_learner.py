@@ -47,11 +47,6 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet(params, [(1, 2, 3)])
 
-    def test_float_coordinates_rejected(self):
-        params = LearningParams(p=2, E=3, D=1, M=4)
-        with pytest.raises(ValueError):
-            SampleSet(params, [[1.7]])
-
 
 class TestValueGrid:
     def test_samples_hit_zero(self):
@@ -180,18 +175,6 @@ class TestPredict:
         params = LearningParams(p=2, E=2, D=1, M=2)
         est = learn(SampleSet(params, [(0,)]))
         assert est.predict_residue_batch(np.empty((0, 1), dtype=np.int64)).size == 0
-
-    def test_bool_point_rejected(self):
-        params = LearningParams(p=2, E=2, D=1, M=2)
-        est = learn(SampleSet(params, [(0,)]))
-        with pytest.raises(ValueError):
-            est.predict_residue((True,))
-
-    def test_float_batch_rejected(self):
-        params = LearningParams(p=2, E=2, D=1, M=2)
-        est = learn(SampleSet(params, [(0,)]))
-        with pytest.raises(ValueError):
-            est.predict_residue_batch(np.array([[2.9]]))
 
 
 class TestPersistence:
