@@ -9,8 +9,17 @@ digit trie answers "how close is the nearest stored point" queries.
 import numpy as np
 
 from padiclearn import LearningParams
-from padiclearn.padic import expand, valuation
+from padiclearn.padic import expand
 from padiclearn.trie import PadicTrie
+
+
+# times p divides x, capped at cap (so x == 0 maps to cap)
+def valuation(x, p, cap):
+    v = 0
+    while v < cap and x % p ** (v + 1) == 0:
+        v += 1
+    return v
+
 
 # Work in Z_2 with 3 digits of precision and 2 coordinates per point.
 params = LearningParams(p=2, E=3, D=2, M=8)

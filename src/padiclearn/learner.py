@@ -16,17 +16,14 @@ import numpy as np
 
 from .mahler import (
     ResidueGrid,
+    evaluate_at_points,
     evaluate_on_grid,
     mahler_transform,
     read_coefficient_rows,
     write_coefficient_rows,
 )
-from .padic import LearningParams, as_points, binomial_table
+from .padic import CHUNK_CELLS, LearningParams, as_points, binomial_table
 from .trie import PadicTrie
-
-# grid fill and batched prediction work through scratch arrays of at most
-# this many int64 cells
-_CHUNK_CELLS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,7 +57,7 @@ def build_value_grid(samples: SampleSet) -> ResidueGrid:
     total = params.M**params.D
     shape = (params.M,) * params.D
     values = np.empty(total, dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // params.D)
+    step = max(1, CHUNK_CELLS // params.D)
     for start in range(0, total, step):
         flat = np.arange(start, min(start + step, total))
         pts = np.stack(np.unravel_index(flat, shape), axis=1)
@@ -106,46 +103,8 @@ class DefiningFunctionEstimate:
         return self.predict_residue(point) == 0
 
     def predict_residue_batch(self, points) -> np.ndarray:
-        """Residues for an (n, D) array of points.
-
-        Points are grouped by their first coordinate; each group shares
-        one partial contraction of the coefficient grid, so the per-point
-        work drops from L**D to L**(D-1).
-        """
-        pts = as_points(points, self.params.D, bound=self.params.modulus)
-        if pts.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        mod = self.params.modulus
-        ext = self.coeffs.extent
-        D = self.params.D
-        flat = self.coeffs.data.reshape(ext, -1)
-        B = self.table
-        order = np.argsort(pts[:, 0], kind="stable")
-        spts = pts[order]
-        uniq, starts = np.unique(spts[:, 0], return_index=True)
-        run_bounds = np.append(starts, spts.shape[0])
-        out = np.empty(pts.shape[0], dtype=np.int64)
-        block = max(1, _CHUNK_CELLS // max(1, ext ** (D - 1)))
-        # one scratch block for every group's partial contraction
-        partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
-        for b0 in range(0, uniq.size, block):
-            vs = uniq[b0 : b0 + block]
-            partial = np.matmul(B[vs, :ext], flat, out=partials[: vs.size])
-            partial %= mod
-            for i in range(vs.size):
-                beg, end = run_bounds[b0 + i], run_bounds[b0 + i + 1]
-                seg = spts[beg:end]
-                if D == 1:
-                    out[order[beg:end]] = partial[i, 0]
-                    continue
-                acc = B[seg[:, 1], :ext] @ partial[i].reshape(ext, -1)
-                acc %= mod
-                for d in range(2, D):
-                    acc = acc.reshape(seg.shape[0], ext, -1)
-                    acc = np.einsum("gl,glr->gr", B[seg[:, d], :ext], acc)
-                    acc %= mod
-                out[order[beg:end]] = acc.reshape(-1)
-        return out
+        """Residues for an (n, D) array of points; see evaluate_at_points."""
+        return evaluate_at_points(self.coeffs, points, self.table)
 
     def is_member_batch(self, points) -> np.ndarray:
         return self.predict_residue_batch(points) == 0

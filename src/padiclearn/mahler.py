@@ -8,19 +8,17 @@ the inverse binomial matrix of the 1-d closed form
     c_i = sum_{j <= i} (-1)**(i - j) * C(i, j) * f(j)   (mod p**E),
 
 and a coefficient grid is evaluated by contracting every axis with the
-binomial-table rows of the query coordinates.  mahler_coeffs_1d computes
-the closed form with exact Python integers instead; tests use it to
-cross-check the transform.
+binomial-table rows of the query coordinates.  This module is the only
+place that gathers table rows, multiplies and reduces mod p**E.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .padic import LearningParams, as_coordinates, binomial_table
+from .padic import CHUNK_CELLS, LearningParams, as_coordinates, as_points, binomial_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,41 +82,12 @@ def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
     return ResidueGrid(params, _contract(grid.data, [inverse] * params.D, mod))
 
 
-def mahler_coeffs_1d(values, params: LearningParams) -> np.ndarray:
-    """Closed-form 1-d coefficients via the alternating binomial sum.
-
-    Exact integer arithmetic throughout, reduced mod p**E only at the
-    end; the route shares nothing with mahler_transform or the Pascal
-    table, which is what makes it a useful oracle.
-    """
-    vals = [int(v) for v in np.atleast_1d(np.asarray(values)).tolist()]
-    if not vals:
-        raise ValueError("need at least one value")
-    mod = params.modulus
-    out = np.empty(len(vals), dtype=np.int64)
-    for i in range(len(vals)):
-        acc = 0
-        for j in range(i + 1):
-            term = math.comb(i, j) * vals[j]
-            acc += -term if (i - j) % 2 else term
-        out[i] = acc % mod
-    return out
-
-
-def _check_axes(coeffs: ResidueGrid, axes, table: np.ndarray):
-    params = coeffs.params
-    nmax, kmax = table.shape[0] - 1, table.shape[1] - 1
+def _table_rows(coeffs: ResidueGrid, table: np.ndarray) -> int:
+    """Row count of table, once its columns are known to cover coeffs."""
+    kmax = table.shape[1] - 1
     if kmax < coeffs.extent - 1:
         raise ValueError(f"binomial table covers k <= {kmax}, need k <= {coeffs.extent - 1}")
-    if len(axes) != params.D:
-        raise ValueError(f"got {len(axes)} axes, expected D = {params.D}")
-    checked = []
-    for a in axes:
-        arr = as_coordinates(a).reshape(-1)
-        if arr.size and (arr.min() < 0 or arr.max() > nmax):
-            raise ValueError(f"axis values must lie in [0, {nmax}]")
-        checked.append(arr)
-    return checked
+    return table.shape[0]
 
 
 def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray:
@@ -129,9 +98,67 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
     replaces the per-point sum, which is what makes exhaustive plane
     sweeps affordable.
     """
-    axes = _check_axes(coeffs, axes, table)
-    rows = (table[a, : coeffs.extent] for a in axes)
+    bound = _table_rows(coeffs, table)
+    if len(axes) != coeffs.params.D:
+        raise ValueError(f"got {len(axes)} axes, expected D = {coeffs.params.D}")
+    rows = []
+    for a in axes:
+        arr = as_coordinates(a)
+        if arr.ndim != 1:
+            raise ValueError(f"each axis must be a 1-d array, got shape {arr.shape}")
+        if arr.size and (arr.min() < 0 or arr.max() >= bound):
+            raise ValueError(f"axis values must lie in [0, {bound})")
+        rows.append(table[arr, : coeffs.extent])
     return _contract(coeffs.data, rows, coeffs.params.modulus)
+
+
+def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.ndarray:
+    """Truncated-series values at an (n, D) array of points.
+
+    Points are grouped by their first coordinate; each group shares
+    one partial contraction of the coefficient grid, so the per-point
+    work drops from L**D to L**(D-1).  Groups are contracted in blocks,
+    and a long group in runs, that keep every scratch array within
+    CHUNK_CELLS.
+    """
+    pts = as_points(points, coeffs.params.D, bound=_table_rows(coeffs, table))
+    if pts.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    mod = coeffs.params.modulus
+    ext = coeffs.extent
+    D = coeffs.params.D
+    flat = coeffs.data.reshape(ext, -1)
+    B = table
+    order = np.argsort(pts[:, 0], kind="stable")
+    spts = pts[order]
+    uniq, starts = np.unique(spts[:, 0], return_index=True)
+    run_bounds = np.append(starts, spts.shape[0])
+    out = np.empty(pts.shape[0], dtype=np.int64)
+    block = max(1, CHUNK_CELLS // ext ** (D - 1))
+    # a run's per-point array holds ext**(D-2) cells per point
+    run = max(1, CHUNK_CELLS // ext ** max(0, D - 2))
+    # one scratch block for every group's partial contraction
+    partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
+    for b0 in range(0, uniq.size, block):
+        vs = uniq[b0 : b0 + block]
+        partial = np.matmul(B[vs, :ext], flat, out=partials[: vs.size])
+        partial %= mod
+        for i in range(vs.size):
+            beg, end = run_bounds[b0 + i], run_bounds[b0 + i + 1]
+            if D == 1:
+                out[order[beg:end]] = partial[i, 0]
+                continue
+            for lo in range(beg, end, run):
+                hi = min(lo + run, end)
+                seg = spts[lo:hi]
+                acc = B[seg[:, 1], :ext] @ partial[i].reshape(ext, -1)
+                acc %= mod
+                for d in range(2, D):
+                    acc = acc.reshape(seg.shape[0], ext, -1)
+                    acc = np.einsum("gl,glr->gr", B[seg[:, d], :ext], acc)
+                    acc %= mod
+                out[order[lo:hi]] = acc.reshape(-1)
+    return out
 
 
 def write_coefficient_rows(fh, data: np.ndarray):

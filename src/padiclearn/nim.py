@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .learner import _CHUNK_CELLS, DefiningFunctionEstimate
-from .padic import LearningParams, as_coordinates
+from .learner import DefiningFunctionEstimate
+from .padic import CHUNK_CELLS, LearningParams, as_coordinates
 
 BENCHMARK_PARAMS = LearningParams(p=2, E=10, D=3, M=100)
 
@@ -106,12 +106,11 @@ class BenchmarkReport:
     def success_rate(self) -> float:
         return (self.trials - self.failures) / self.trials
 
-    def to_text(self, include_timing: bool = False) -> str:
+    def to_text(self) -> str:
         """Key-value lines, one per field.
 
-        Timing is off by default so that reruns with the same config and
-        seed serialize to identical bytes; pass include_timing=True to
-        append the measured wall time.
+        The wall time is left out, so reruns with the same config and
+        seed serialize to identical bytes.
         """
         lines = [
             f"task {self.task}",
@@ -129,8 +128,6 @@ class BenchmarkReport:
             lines.append("mode subsample")
             lines.append(f"ci95_low {self.ci95[0]:.6f}")
             lines.append(f"ci95_high {self.ci95[1]:.6f}")
-        if include_timing:
-            lines.append(f"wall_time_ms {self.wall_time_ms}")
         return "\n".join(lines) + "\n"
 
 
@@ -191,7 +188,7 @@ def run_task(
 
     if task == 2 and mode == "exhaustive":
         failures = 0
-        for lo, hi in _plane_slabs(bound, P.D, _CHUNK_CELLS):
+        for lo, hi in _plane_slabs(bound, P.D, CHUNK_CELLS):
             # D = 1 keeps only the x0 axis
             axes = ([np.array([0]), np.arange(lo, hi)] + [np.arange(bound)] * (P.D - 2))[: P.D]
             residues = est.predict_residue_grid(axes)

@@ -21,11 +21,15 @@ MAX_AXIS_EXTENT = 1 << 12  # per-axis grid bound M
 MAX_GRID_CELLS = 1 << 24  # M**D
 MAX_TABLE_CELLS = 1 << 26  # entries of one binomial table
 
-# The exact contractions (mahler_transform, evaluate_on_grid and the batch
-# path of DefiningFunctionEstimate.predict_residue_batch) sum at most
-# MAX_AXIS_EXTENT products of two residues in int64 before reducing mod
-# p**E.  Such a sum stays below 2**52, so none of them can overflow.
+# The exact contractions in mahler (the transform, grid and point
+# evaluation) sum at most MAX_AXIS_EXTENT products of two residues in int64
+# before reducing mod p**E.  Such a sum stays below 2**52, so none of them
+# can overflow.
 assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**63
+
+# value-grid fill, point evaluation and task-2 plane sweeps work through
+# scratch arrays of at most this many int64 cells
+CHUNK_CELLS = 1 << 22
 
 
 def is_prime(n: int) -> bool:
@@ -104,27 +108,6 @@ class LearningParams:
     def digit_count(self) -> int:
         """Length of one interleaved digit string."""
         return self.E * self.D
-
-
-def valuation(x: int, p: int, cap: int) -> int:
-    """Largest v <= cap such that p**v divides x; x == 0 maps to cap.
-
-    The cap encodes infinite valuation: at working precision E an integer
-    divisible by p**E is indistinguishable from 0, so callers pass cap=E
-    and read the cap back as "exact hit".
-    """
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
-    if p < 2:
-        raise ValueError(f"p must be at least 2, got {p}")
-    x = abs(int(x))
-    if x == 0:
-        return cap
-    v = 0
-    while v < cap and x % p == 0:
-        x //= p
-        v += 1
-    return v
 
 
 def as_coordinates(values) -> np.ndarray:

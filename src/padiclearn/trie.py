@@ -21,7 +21,10 @@ class PadicTrie:
         self.params = params
         # children[node][digit] -> child id, -1 for absent; node 0 is the root
         children = [[-1] * params.p]
-        for row in expand_batch(params, np.reshape(points, (-1, params.D))).tolist():
+        # expand_batch reads points through the (n, D) gate; the default ()
+        # indexes nothing and builds the root-only trie
+        rows = expand_batch(params, points).tolist() if np.size(points) else []
+        for row in rows:
             node = 0
             for dig in row:
                 nxt = children[node][dig]

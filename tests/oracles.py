@@ -14,3 +14,45 @@ def series_value(coeffs: np.ndarray, point, modulus: int) -> int:
             term *= math.comb(int(x), l)
         total += term
     return total % modulus
+
+
+def valuation(x: int, p: int, cap: int) -> int:
+    """Largest v <= cap such that p**v divides x; x == 0 maps to cap.
+
+    The cap encodes infinite valuation: at working precision E an integer
+    divisible by p**E is indistinguishable from 0, so callers pass cap=E
+    and read the cap back as "exact hit".
+    """
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+    x = abs(int(x))
+    if x == 0:
+        return cap
+    v = 0
+    while v < cap and x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def mahler_coeffs_1d(values, params) -> np.ndarray:
+    """Closed-form 1-d coefficients via the alternating binomial sum.
+
+    Exact integer arithmetic throughout, reduced mod params.modulus only
+    at the end; the route shares nothing with mahler_transform or the
+    binomial table, which is what makes it a useful oracle.
+    """
+    vals = [int(v) for v in np.atleast_1d(np.asarray(values)).tolist()]
+    if not vals:
+        raise ValueError("need at least one value")
+    mod = params.modulus
+    out = np.empty(len(vals), dtype=np.int64)
+    for i in range(len(vals)):
+        acc = 0
+        for j in range(i + 1):
+            term = math.comb(i, j) * vals[j]
+            acc += -term if (i - j) % 2 else term
+        out[i] = acc % mod
+    return out

@@ -8,16 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from oracles import mahler_coeffs_1d, valuation
 
 from padiclearn.learner import SampleSet, learn
-from padiclearn.mahler import (
-    ResidueGrid,
-    evaluate_on_grid,
-    mahler_coeffs_1d,
-    mahler_transform,
-)
+from padiclearn.mahler import ResidueGrid, evaluate_on_grid, mahler_transform
 from padiclearn.nim import BENCHMARK_PARAMS, generate_p_positions, run_task, trivial_baseline
-from padiclearn.padic import LearningParams, binomial_table, valuation
+from padiclearn.padic import LearningParams, binomial_table
 from padiclearn.trie import PadicTrie
 
 

@@ -1,14 +1,16 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import series_value
+from oracles import mahler_coeffs_1d, series_value
 
+from padiclearn import mahler
 from padiclearn.mahler import (
     ResidueGrid,
     dump_coefficients,
+    evaluate_at_points,
     evaluate_on_grid,
-    mahler_coeffs_1d,
     mahler_transform,
     read_coefficient_rows,
 )
@@ -245,6 +247,41 @@ class TestEvaluate:
             evaluate_on_grid(coeffs, [np.array([1]), np.array([2])], table)
         with pytest.raises(ValueError):
             evaluate_on_grid(coeffs, [], table)
+        with pytest.raises(ValueError):
+            evaluate_on_grid(coeffs, [np.array([[0, 1], [2, 3]])], table)
+
+    def test_small_budget_keeps_residues(self, monkeypatch):
+        # a 40-cell budget cuts every partial block and every long group
+        rng = np.random.default_rng(43)
+        table = binomial_table(2, 10, 1023, 15)
+        cases = []
+        for D in (1, 2, 3, 4):
+            params = LearningParams(p=2, E=10, D=D, M=16)
+            coeffs = ResidueGrid(params, rng.integers(0, 1024, (16,) * D))
+            pts = rng.integers(0, 1024, size=(60, D))
+            pts[:40, 0] = 7
+            cases.append((coeffs, pts, evaluate_at_points(coeffs, pts, table)))
+        monkeypatch.setattr(mahler, "CHUNK_CELLS", 40)
+        for coeffs, pts, want in cases:
+            assert evaluate_at_points(coeffs, pts, table).tolist() == want.tolist()
+
+    def test_shared_first_coordinate_stays_in_budget(self, monkeypatch):
+        # 8192 points in one x0 group would need a 16 MiB per-point array
+        # (256 cells each at D=4, L=16); runs of 64 points keep it at 128 KiB
+        rng = np.random.default_rng(44)
+        params = LearningParams(p=2, E=10, D=4, M=16)
+        coeffs = ResidueGrid(params, rng.integers(0, 1024, (16,) * 4))
+        table = binomial_table(2, 10, 1023, 15)
+        pts = rng.integers(0, 1024, size=(8192, 4))
+        pts[:, 0] = 0
+        monkeypatch.setattr(mahler, "CHUNK_CELLS", 1 << 14)
+        tracemalloc.start()
+        try:
+            evaluate_at_points(coeffs, pts, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestDumpFormat:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import valuation
 
 from padiclearn.padic import (
     LearningParams,
@@ -9,7 +10,6 @@ from padiclearn.padic import (
     expand,
     expand_batch,
     is_prime,
-    valuation,
 )
 
 

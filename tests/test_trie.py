@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import valuation
 
-from padiclearn.padic import LearningParams, valuation
+from padiclearn.padic import LearningParams
 from padiclearn.trie import PadicTrie
 
 
@@ -31,6 +32,11 @@ class TestBuild:
     def test_empty_set_is_root_only(self):
         trie = PadicTrie(LearningParams(p=2, E=2, D=1, M=2))
         assert trie.node_count == 1
+
+    def test_rejects_wrong_point_shape(self):
+        # at D=1 a (1, 2) array is one 2-d point, not two 1-d points
+        with pytest.raises(ValueError):
+            PadicTrie(LearningParams(p=2, E=3, D=1, M=2), [[1, 2]])
 
     def test_two_singletons(self):
         trie = PadicTrie(LearningParams(p=2, E=1, D=1, M=2), [(0,), (1,)])
