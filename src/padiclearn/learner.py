@@ -96,7 +96,7 @@ class DefiningFunctionEstimate:
 
     def predict_residue(self, point) -> int:
         """Estimated defining-function value mod p**E at one point."""
-        return int(self.predict_residue_batch(np.reshape(point, (1, -1)))[0])
+        return int(self.predict_residue_batch([point])[0])
 
     def is_member(self, point) -> bool:
         """Membership verdict: the residue vanished at working precision."""
@@ -114,7 +114,7 @@ class DefiningFunctionEstimate:
         return evaluate_on_grid(self.coeffs, axes, self.table)
 
     def save(self, path):
-        """Model file: `p E D M L` header, then the L**D coefficient rows."""
+        """Model file: `p E D M L` header, then the L**D coefficient values."""
         params = self.params
         with open(path, "w") as fh:
             fh.write(f"{params.p} {params.E} {params.D} {params.M} {params.L}\n")
@@ -132,5 +132,5 @@ class DefiningFunctionEstimate:
             except ValueError as exc:
                 raise ValueError(f"bad model header {head!r}") from exc
             params = LearningParams(p=p, E=E, D=D, M=M, L=L)
-            data = read_coefficient_rows(fh, params.D, params.L, params.modulus)
+            data = read_coefficient_rows(fh, params.D, params.L)
         return _estimate(params, data)

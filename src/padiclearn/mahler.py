@@ -117,9 +117,9 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
 
     Points are grouped by their first coordinate; each group shares
     one partial contraction of the coefficient grid, so the per-point
-    work drops from L**D to L**(D-1).  Groups are contracted in blocks,
-    and a long group in runs, that keep every scratch array within
-    CHUNK_CELLS.
+    work drops from L**D to L**(D-1).  Groups are contracted in blocks
+    of at most CHUNK_CELLS partial cells, and a long group in runs whose
+    scratch arrays together stay within CHUNK_CELLS.
     """
     pts = as_points(points, coeffs.params.D, bound=_table_rows(coeffs, table))
     if pts.shape[0] == 0:
@@ -135,8 +135,8 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     run_bounds = np.append(starts, spts.shape[0])
     out = np.empty(pts.shape[0], dtype=np.int64)
     block = max(1, CHUNK_CELLS // ext ** (D - 1))
-    # a run's per-point array holds ext**(D-2) cells per point
-    run = max(1, CHUNK_CELLS // ext ** max(0, D - 2))
+    # per point, a run holds a gathered table row and two successive partials
+    run = max(1, CHUNK_CELLS // (ext + ext ** max(0, D - 2) + ext ** max(0, D - 3)))
     # one scratch block for every group's partial contraction
     partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
     for b0 in range(0, uniq.size, block):
@@ -162,32 +162,30 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
 
 
 def write_coefficient_rows(fh, data: np.ndarray):
-    """One decimal line per entry, row-major: `l_0 ... l_{D-1} value`."""
-    idx = np.indices(data.shape).reshape(data.ndim, -1)
-    cols = np.vstack([idx, data.reshape(1, -1)]).T
-    np.savetxt(fh, cols, fmt="%d")
+    """One decimal line per entry, in row-major order: the bare values."""
+    np.savetxt(fh, data.reshape(-1), fmt="%d")
 
 
-def read_coefficient_rows(fh, D: int, extent: int, modulus: int) -> np.ndarray:
-    """Parse the row block written by write_coefficient_rows."""
-    rows = np.loadtxt(fh, dtype=np.int64, ndmin=2)
-    expected = extent**D
-    if rows.shape != (expected, D + 1):
-        raise ValueError(
-            f"expected {expected} rows of {D + 1} integers, got shape {rows.shape}"
-        )
-    want_idx = np.indices((extent,) * D).reshape(D, -1).T
-    if not np.array_equal(rows[:, :D], want_idx):
-        raise ValueError("coefficient rows are not in row-major multi-index order")
-    values = rows[:, D]
-    if values.min() < 0 or values.max() >= modulus:
-        raise ValueError(f"coefficient values must lie in [0, {modulus})")
+def read_coefficient_rows(fh, D: int, extent: int) -> np.ndarray:
+    """Parse the value block written by write_coefficient_rows.
+
+    Anything but extent**D lines of one integer each raises ValueError;
+    the value range is left to ResidueGrid.
+    """
+    layout = f"{extent**D} lines of one coefficient value each"
+    body = fh.read()
+    if not body.strip():  # loadtxt only warns on an empty body
+        raise ValueError(f"model body must hold {layout}, got none")
+    values = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2, comments=None)
+    if values.shape != (extent**D, 1):
+        raise ValueError(f"model body must hold {layout}, got shape {values.shape}")
     return values.reshape((extent,) * D)
 
 
 def dump_coefficients(coeffs: ResidueGrid, path):
-    """Write a coefficient grid: header `p E D extent`, then the rows."""
+    """Readable dump: header `p E D extent`, then `l_0 ... l_{D-1} value` rows."""
     params = coeffs.params
+    idx = np.indices(coeffs.data.shape).reshape(params.D, -1)
     with open(path, "w") as fh:
         fh.write(f"{params.p} {params.E} {params.D} {coeffs.extent}\n")
-        write_coefficient_rows(fh, coeffs.data)
+        np.savetxt(fh, np.vstack([idx, coeffs.data.reshape(1, -1)]).T, fmt="%d")

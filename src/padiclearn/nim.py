@@ -31,6 +31,8 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 def grundy_nim(point) -> int:
     """Grundy value of a Nim position: the XOR of its heap sizes."""
     coords = np.atleast_1d(as_coordinates(point))
+    if coords.ndim != 1:
+        raise ValueError(f"expected one position of heap sizes, got shape {coords.shape}")
     if (coords < 0).any():
         raise ValueError(f"heap sizes must be natural numbers, got {tuple(coords.tolist())}")
     return int(np.bitwise_xor.reduce(coords))
@@ -45,12 +47,11 @@ def generate_p_positions(D: int, bounds) -> np.ndarray:
     """
     if D < 1:
         raise ValueError(f"D must be at least 1, got {D}")
-    if isinstance(bounds, (int, np.integer)):
-        bounds = (int(bounds),) * D
-    else:
-        bounds = tuple(int(b) for b in bounds)
-    if len(bounds) != D:
-        raise ValueError(f"got {len(bounds)} bounds for D = {D}")
+    arr = as_coordinates(bounds)
+    arr = np.full(D, arr) if arr.ndim == 0 else arr
+    if arr.shape != (D,):
+        raise ValueError(f"expected one bound or {D} bounds, got shape {arr.shape}")
+    bounds = tuple(arr.tolist())
     if any(b < 0 for b in bounds):
         raise ValueError(f"bounds must be non-negative, got {bounds}")
     if min(bounds) == 0:

@@ -141,7 +141,7 @@ def as_points(values, D: int, bound: int | None = None) -> np.ndarray:
 
 def expand(params: LearningParams, point) -> np.ndarray:
     """Interleaved base-p digit string of one D-vector: one row of expand_batch."""
-    return expand_batch(params, np.reshape(point, (1, -1)))[0]
+    return expand_batch(params, [point])[0]
 
 
 def expand_batch(params: LearningParams, points) -> np.ndarray:

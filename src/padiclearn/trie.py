@@ -44,7 +44,7 @@ class PadicTrie:
 
         Returns 0 from an empty trie: the root traces nothing.
         """
-        return int(self.nns_valuation_batch(np.reshape(point, (1, -1)))[0])
+        return int(self.nns_valuation_batch([point])[0])
 
     def nns_valuation_batch(self, points) -> np.ndarray:
         """nns_valuation of every row of an (n, D) array of points."""

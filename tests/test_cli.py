@@ -130,6 +130,24 @@ class TestPipeline:
         assert lines[0] == "2 3 1 4"
         assert len(lines) == 5
 
+    def test_dump_value_column_is_model_body(self, tmp_path):
+        rng = np.random.default_rng(12)
+        samples = tmp_path / "samples.txt"
+        model = tmp_path / "model.txt"
+        dump = tmp_path / "coeffs.txt"
+        write_sample_file(samples, rng.integers(0, 5, size=(6, 2)))
+        flags = ["--p", "3", "--E", "3", "--D", "2", "--M", "5", "--L", "4"]
+        assert run("learn", *flags, "--in", str(samples), "--out", str(model)) == 0
+        assert run("dump-coeffs", "--in", str(model), "--out", str(dump)) == 0
+        head, *body = model.read_text().splitlines()
+        dump_head, *rows = dump.read_text().splitlines()
+        assert head == "3 3 2 5 4"
+        assert dump_head == "3 3 2 4"
+        assert len(body) == 16 and any(v != "0" for v in body)
+        assert [r.split()[-1] for r in rows] == body
+        idx = [[str(a), str(b)] for a in range(4) for b in range(4)]
+        assert [r.split()[:-1] for r in rows] == idx
+
 
 class TestErrors:
     def test_unknown_command(self, capsys):

@@ -1,7 +1,9 @@
 """Every entry point that takes points rejects float and bool coordinates.
 
 A float point such as (1.9, 2.0) must raise instead of being truncated to
-(1, 2), and a bool point must raise instead of being read as (1, 0).
+(1, 2), and a bool point must raise instead of being read as (1, 0).  The
+scalar entry points also reject a point of the wrong shape instead of
+flattening it.
 """
 
 import numpy as np
@@ -44,3 +46,16 @@ APIS = {
 def test_no_silent_truncation(api, point):
     with pytest.raises(ValueError, match="expected integer values"):
         APIS[api](point)
+
+
+SCALAR_APIS = {
+    name: APIS[name] for name in ("predict_residue", "expand", "nns_valuation", "grundy_nim")
+}
+SCALAR_APIS["is_member"] = lambda pt: EST.is_member(pt)
+
+
+@pytest.mark.parametrize("api", list(SCALAR_APIS))
+def test_no_silent_flattening(api):
+    # a (2, 1) column holds the coordinates of (1, 2) but is not one point
+    with pytest.raises(ValueError):
+        SCALAR_APIS[api]([[1], [2]])

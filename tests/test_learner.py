@@ -241,7 +241,21 @@ class TestPersistence:
 
     def test_row_validation(self, tmp_path):
         bad = tmp_path / "bad.txt"
-        # header fine, second multi-index wrong
-        bad.write_text("2 2 1 2 2\n0 1\n0 2\n")
-        with pytest.raises(ValueError):
-            DefiningFunctionEstimate.load(bad)
+        # header fine; a value outside [0, p**E) = [0, 4), or no body at all
+        for body, message in [("1\n4\n", r"\[0, 4\)"), ("1\n-1\n", r"\[0, 4\)"), ("", "2 lines")]:
+            bad.write_text("2 2 1 2 2\n" + body)
+            with pytest.raises(ValueError, match=message):
+                DefiningFunctionEstimate.load(bad)
+
+    def test_indexed_model_rejected(self, tmp_path):
+        # a body of `l_0 ... l_{D-1} value` lines, the older layout, is not read
+        params = LearningParams(p=2, E=4, D=2, M=3)
+        est = learn(SampleSet(params, [(0, 1), (2, 2)]))
+        path = tmp_path / "model.txt"
+        est.save(path)
+        head, *values = path.read_text().splitlines()
+        idx = np.indices((3, 3)).reshape(2, -1).T
+        rows = [f"{a} {b} {v}" for (a, b), v in zip(idx.tolist(), values)]
+        path.write_text("\n".join([head, *rows]) + "\n")
+        with pytest.raises(ValueError, match="9 lines of one coefficient value each"):
+            DefiningFunctionEstimate.load(path)

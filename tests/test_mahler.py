@@ -13,6 +13,7 @@ from padiclearn.mahler import (
     evaluate_on_grid,
     mahler_transform,
     read_coefficient_rows,
+    write_coefficient_rows,
 )
 from padiclearn.padic import LearningParams, binomial_table
 
@@ -284,19 +285,37 @@ class TestEvaluate:
         assert peak < 2 * 2**20
 
 
+    @pytest.mark.parametrize("D, L", [(2, 128), (3, 32)])
+    def test_run_arrays_share_the_budget(self, monkeypatch, D, L):
+        # a run's gathered table rows and both partials count together:
+        # sized by its per-point partial alone, a run of these 2048 points
+        # sharing x0 would hold about 2x (D=3) or 4x (D=2) the budget
+        budget = 1 << 16
+        rng = np.random.default_rng(45)
+        params = LearningParams(p=2, E=10, D=D, M=L)
+        coeffs = ResidueGrid(params, rng.integers(0, 1024, (L,) * D))
+        table = binomial_table(2, 10, 1023, L - 1)
+        pts = rng.integers(0, 1024, size=(budget // 32, D))
+        pts[:, 0] = 5
+        want = evaluate_at_points(coeffs, pts, table)
+        monkeypatch.setattr(mahler, "CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            got = evaluate_at_points(coeffs, pts, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == want.tolist()
+        # the sorted points, order and output add 0.13-0.16 of the budget
+        assert peak < 1.5 * 8 * budget
+
 class TestDumpFormat:
-    def test_header_and_rows(self):
+    def test_header_and_rows(self, tmp_path):
         params = LearningParams(p=2, E=3, D=2, M=2)
         coeffs = ResidueGrid(params, np.array([[1, 2], [3, 4]]))
-        buf = io.StringIO()
-        # dump_coefficients wants a path; go through a temp file instead
-        import tempfile, os
-
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "coeffs.txt")
-            dump_coefficients(coeffs, path)
-            text = open(path).read()
-        lines = text.strip().split("\n")
+        path = tmp_path / "coeffs.txt"
+        dump_coefficients(coeffs, path)
+        lines = path.read_text().strip().split("\n")
         assert lines[0] == "2 3 2 2"
         assert lines[1:] == ["0 0 1", "0 1 2", "1 0 3", "1 1 4"]
 
@@ -304,19 +323,23 @@ class TestDumpFormat:
         rng = np.random.default_rng(27)
         grid = random_grid(rng)
         buf = io.StringIO()
-        from padiclearn.mahler import write_coefficient_rows
-
         write_coefficient_rows(buf, grid.data)
+        assert buf.getvalue().split() == [str(v) for v in grid.data.reshape(-1).tolist()]
         buf.seek(0)
-        back = read_coefficient_rows(buf, grid.params.D, grid.extent, grid.params.modulus)
+        back = read_coefficient_rows(buf, grid.params.D, grid.extent)
         assert np.array_equal(back, grid.data)
 
-    def test_rejects_out_of_order_rows(self):
-        text = "0 1 2\n0 0 1\n1 0 3\n1 1 4\n"
-        with pytest.raises(ValueError):
-            read_coefficient_rows(io.StringIO(text), 2, 2, 8)
-
     def test_rejects_wrong_count(self):
-        text = "0 0 1\n0 1 2\n"
+        # short, long, and the older indexed `l_0 l_1 value` layout
+        for text in ("1\n2\n3\n", "1\n2\n3\n4\n5\n", "0 0 1\n0 1 2\n1 0 3\n1 1 4\n"):
+            with pytest.raises(ValueError, match="4 lines of one coefficient value each"):
+                read_coefficient_rows(io.StringIO(text), 2, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1\n2.5\n3\n4\n", "1\n# 2\n3\n4\n", "", "\n \n"],
+        ids=["non-integer", "comment", "empty", "blank"],
+    )
+    def test_rejects_malformed_body(self, text):
         with pytest.raises(ValueError):
-            read_coefficient_rows(io.StringIO(text), 2, 2, 8)
+            read_coefficient_rows(io.StringIO(text), 2, 2)

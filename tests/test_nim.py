@@ -88,6 +88,15 @@ class TestGeneratePPositions:
         with pytest.raises(ValueError):
             generate_p_positions(2, (3, -1))
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [(3.7, 4), 4.0, True, (True, True)],
+        ids=["float-pair", "float", "bool", "bool-pair"],
+    )
+    def test_non_integer_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="expected integer values"):
+            generate_p_positions(2, bounds)
+
 
 class TestSamplePPositions:
     def test_all_draws_are_members(self):
