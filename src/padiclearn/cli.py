@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -13,14 +14,16 @@ from .nim import BENCHMARK_PARAMS, generate_p_positions, run_task
 from .padic import LearningParams
 
 
-def write_sample_file(path_or_stream, points: np.ndarray):
+def _write_text(path, text: str):
+    """Write text to the file at path, or to stdout when there is none."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(text)
+
+
+def write_sample_file(path, points: np.ndarray):
     """One point per line, coordinates as space-separated decimals."""
-    lines = "\n".join(" ".join(str(int(c)) for c in row) for row in points)
-    if hasattr(path_or_stream, "write"):
-        path_or_stream.write(lines + "\n" if len(points) else "")
-    else:
-        with open(path_or_stream, "w") as fh:
-            fh.write(lines + "\n" if len(points) else "")
+    rows = np.asarray(points).tolist()
+    _write_text(path, "".join(" ".join(map(str, row)) + "\n" for row in rows))
 
 
 def read_sample_file(path, D: int) -> np.ndarray:
@@ -62,10 +65,7 @@ def _parse_point(text: str, D: int) -> tuple[int, ...]:
 
 def _cmd_gen_samples(args) -> int:
     points = generate_p_positions(args.D, (args.M,) * args.D)
-    if args.out:
-        write_sample_file(args.out, points)
-    else:
-        write_sample_file(sys.stdout, points)
+    write_sample_file(args.out, points)
     print(f"generated {points.shape[0]} points", file=sys.stderr)
     return 0
 
@@ -103,12 +103,7 @@ def _cmd_bench(args) -> int:
         mode=args.mode,
         sample_size=args.sample_size,
     )
-    text = report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, report.to_text())
     print(f"wall_time_ms {report.wall_time_ms}", file=sys.stderr)
     return 0
 

@@ -10,6 +10,7 @@ defining function mod p**E, and a zero residue is the membership verdict.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,6 @@ from .mahler import (
     evaluate_at_points,
     evaluate_on_grid,
     mahler_transform,
-    read_coefficient_rows,
-    write_coefficient_rows,
 )
 from .padic import CHUNK_CELLS, LearningParams, as_points, binomial_table
 from .trie import PadicTrie
@@ -114,23 +113,62 @@ class DefiningFunctionEstimate:
         return evaluate_on_grid(self.coeffs, axes, self.table)
 
     def save(self, path):
-        """Model file: `p E D M L` header, then the L**D coefficient values."""
-        params = self.params
-        with open(path, "w") as fh:
-            fh.write(f"{params.p} {params.E} {params.D} {params.M} {params.L}\n")
-            write_coefficient_rows(fh, self.coeffs.data)
+        """Write the model file, in the format of write_coefficient_rows."""
+        with open(path, "wb") as fh:
+            write_coefficient_rows(fh, self.params, self.coeffs.data)
 
     @classmethod
     def load(cls, path) -> "DefiningFunctionEstimate":
         """Rebuild an estimate bit-exactly from its model file."""
-        with open(path) as fh:
-            head = fh.readline().split()
-            if len(head) != 5:
-                raise ValueError(f"model header must hold 5 integers `p E D M L`, got {head!r}")
-            try:
-                p, E, D, M, L = (int(tok) for tok in head)
-            except ValueError as exc:
-                raise ValueError(f"bad model header {head!r}") from exc
-            params = LearningParams(p=p, E=E, D=D, M=M, L=L)
-            data = read_coefficient_rows(fh, params.D, params.L)
-        return _estimate(params, data)
+        with open(path, "rb") as fh:
+            params, window = read_coefficient_rows(fh)
+        return _estimate(params, window)
+
+
+# The model file.  These two stay apart from save and load because
+# perfbench/tracer.py times the format by their names.
+
+
+def _body_dtype(params: LearningParams) -> np.dtype:
+    """The smallest unsigned little-endian dtype that holds p**E - 1."""
+    return np.min_scalar_type(params.modulus - 1).newbyteorder("<")
+
+
+def _digest(fields: bytes, body: bytes) -> bytes:
+    return hashlib.blake2b(fields + b"\n" + body, digest_size=16).hexdigest().encode()
+
+
+def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
+    """Write the text line `p E D M L <digest>`, then the L**D window.
+
+    The window goes in row-major order as little-endian _body_dtype bytes;
+    the digest is a hex blake2b over the five header fields and the body.
+    """
+    fields = f"{params.p} {params.E} {params.D} {params.M} {params.L}".encode()
+    body = window.astype(_body_dtype(params)).tobytes()
+    fh.write(fields + b" " + _digest(fields, body) + b"\n" + body)
+
+
+def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
+    """Params and L**D window of a model file, checked against its digest.
+
+    Reads at most one byte past the expected body, so a huge or corrupt
+    file costs bounded memory.  ResidueGrid checks the value range.
+    """
+    line = fh.readline(128)  # far longer than any header the caps admit
+    head = line.split()
+    if len(head) != 6 or not line.endswith(b"\n"):
+        raise ValueError(f"model header must be one line `p E D M L <digest>`, got {line!r}")
+    try:
+        params = LearningParams(*(int(tok) for tok in head[:5]))
+    except ValueError as exc:
+        raise ValueError(f"bad model header {line!r}: {exc}") from exc
+    dtype = _body_dtype(params)
+    size = params.L**params.D * dtype.itemsize
+    body = fh.read(size + 1)
+    if len(body) != size:
+        got = "more" if len(body) > size else len(body)
+        raise ValueError(f"model body must be {size} bytes, L**D {dtype.name} values, got {got}")
+    if _digest(b" ".join(head[:5]), body) != head[5]:
+        raise ValueError("model digest does not match its header and body")
+    return params, np.frombuffer(body, dtype).reshape((params.L,) * params.D)

@@ -118,30 +118,28 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     Points are grouped by their first coordinate; each group shares
     one partial contraction of the coefficient grid, so the per-point
     work drops from L**D to L**(D-1).  Groups are contracted in blocks
-    of at most CHUNK_CELLS partial cells, and a long group in runs whose
-    scratch arrays together stay within CHUNK_CELLS.
+    whose partials and gathered table rows together stay within
+    CHUNK_CELLS cells, and a long group in runs whose scratch arrays do.
     """
     pts = as_points(points, coeffs.params.D, bound=_table_rows(coeffs, table))
     if pts.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    mod = coeffs.params.modulus
-    ext = coeffs.extent
-    D = coeffs.params.D
+    mod, ext, D = coeffs.params.modulus, coeffs.extent, coeffs.params.D
     flat = coeffs.data.reshape(ext, -1)
-    B = table
     order = np.argsort(pts[:, 0], kind="stable")
     spts = pts[order]
     uniq, starts = np.unique(spts[:, 0], return_index=True)
     run_bounds = np.append(starts, spts.shape[0])
     out = np.empty(pts.shape[0], dtype=np.int64)
-    block = max(1, CHUNK_CELLS // ext ** (D - 1))
+    # per group, a block holds a gathered table row and one partial
+    block = max(1, CHUNK_CELLS // (ext + ext ** (D - 1)))
     # per point, a run holds a gathered table row and two successive partials
     run = max(1, CHUNK_CELLS // (ext + ext ** max(0, D - 2) + ext ** max(0, D - 3)))
     # one scratch block for every group's partial contraction
     partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]
-        partial = np.matmul(B[vs, :ext], flat, out=partials[: vs.size])
+        partial = np.matmul(table[vs, :ext], flat, out=partials[: vs.size])
         partial %= mod
         for i in range(vs.size):
             beg, end = run_bounds[b0 + i], run_bounds[b0 + i + 1]
@@ -151,35 +149,14 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
             for lo in range(beg, end, run):
                 hi = min(lo + run, end)
                 seg = spts[lo:hi]
-                acc = B[seg[:, 1], :ext] @ partial[i].reshape(ext, -1)
+                acc = table[seg[:, 1], :ext] @ partial[i].reshape(ext, -1)
                 acc %= mod
                 for d in range(2, D):
                     acc = acc.reshape(seg.shape[0], ext, -1)
-                    acc = np.einsum("gl,glr->gr", B[seg[:, d], :ext], acc)
+                    acc = np.einsum("gl,glr->gr", table[seg[:, d], :ext], acc)
                     acc %= mod
                 out[order[lo:hi]] = acc.reshape(-1)
     return out
-
-
-def write_coefficient_rows(fh, data: np.ndarray):
-    """One decimal line per entry, in row-major order: the bare values."""
-    np.savetxt(fh, data.reshape(-1), fmt="%d")
-
-
-def read_coefficient_rows(fh, D: int, extent: int) -> np.ndarray:
-    """Parse the value block written by write_coefficient_rows.
-
-    Anything but extent**D lines of one integer each raises ValueError;
-    the value range is left to ResidueGrid.
-    """
-    layout = f"{extent**D} lines of one coefficient value each"
-    body = fh.read()
-    if not body.strip():  # loadtxt only warns on an empty body
-        raise ValueError(f"model body must hold {layout}, got none")
-    values = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2, comments=None)
-    if values.shape != (extent**D, 1):
-        raise ValueError(f"model body must hold {layout}, got shape {values.shape}")
-    return values.reshape((extent,) * D)
 
 
 def dump_coefficients(coeffs: ResidueGrid, path):

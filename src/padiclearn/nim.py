@@ -156,6 +156,15 @@ def _plane_slabs(bound: int, D: int, cap: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, bound)) for lo in range(0, bound, step)]
 
 
+def _check_task(task: int, params: LearningParams):
+    if task not in (1, 2, 3, 4):
+        raise ValueError(f"task must be 1, 2, 3 or 4, got {task}")
+    if params.p != 2:
+        raise ValueError("task/params mismatch: the Nim benchmark needs p = 2")
+    if task == 4 and params.modulus < 64:
+        raise ValueError("task/params mismatch: task 4 needs 64 <= 2**E")
+
+
 def run_task(
     est: DefiningFunctionEstimate,
     task: int,
@@ -176,10 +185,7 @@ def run_task(
     measured success rate.
     """
     P = est.params
-    if task not in (1, 2, 3, 4):
-        raise ValueError(f"task must be 1, 2, 3 or 4, got {task}")
-    if P.p != 2:
-        raise ValueError("task/params mismatch: the Nim benchmark needs p = 2")
+    _check_task(task, P)
     if mode not in ("exhaustive", "subsample"):
         raise ValueError(f"mode must be 'exhaustive' or 'subsample', got {mode!r}")
     if mode == "subsample" and task != 2:
@@ -219,8 +225,6 @@ def run_task(
             pts = sample_p_positions(np.random.default_rng(seed), P.D, bound, trials)
             rep_seed, rep_mode = seed, "random"
         else:
-            if bound < 64:
-                raise ValueError("task/params mismatch: task 4 needs 64 <= 2**E")
             pts = generate_p_positions(P.D, (64,) + (bound,) * (P.D - 1))
             rep_seed, rep_mode = None, "exhaustive"
         # tasks 3 and 4 query members only, so every failure there is a miss
@@ -240,10 +244,7 @@ def trivial_baseline(task: int, params: LearningParams = BENCHMARK_PARAMS) -> Be
     fail precisely on the zero-XOR points (density 2**-E), tasks 3 and 4
     fail every trial.
     """
-    if task not in (1, 2, 3, 4):
-        raise ValueError(f"task must be 1, 2, 3 or 4, got {task}")
-    if params.p != 2:
-        raise ValueError("task/params mismatch: the Nim benchmark needs p = 2")
+    _check_task(task, params)
     bound = params.modulus
     D = params.D
     if task == 1:
@@ -255,8 +256,6 @@ def trivial_baseline(task: int, params: LearningParams = BENCHMARK_PARAMS) -> Be
         trials = bound ** (D - 1)
         failures = trials
     else:
-        if bound < 64:
-            raise ValueError("task/params mismatch: task 4 needs 64 <= 2**E")
         trials = 64 * bound ** (D - 2) if D >= 2 else 1
         failures = trials
     return BenchmarkReport(task, params, None, trials, failures, 0, "exhaustive", None)

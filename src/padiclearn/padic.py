@@ -46,6 +46,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """base**exp > cap for base >= 1, without building a huge power."""
+    return base > 1 and (exp >= cap.bit_length() or base**exp > cap)
+
+
+def _check_modulus(p: int, E: int):
+    """Reject all but prime p, E >= 1 and p**E <= MAX_MODULUS, caps first."""
+    if E < 1:
+        raise ValueError(f"E must be at least 1, got {E}")
+    if p > MAX_MODULUS or _power_exceeds(p, E, MAX_MODULUS):
+        raise ValueError(f"p**E = {p}**{E} exceeds the supported modulus {MAX_MODULUS}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+
+
 def _check_natural(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -69,36 +84,24 @@ class LearningParams:
     L: int | None = None
 
     def __post_init__(self):
-        for name in ("p", "E", "D", "M"):
-            object.__setattr__(self, name, _check_natural(name, getattr(self, name)))
         if self.L is None:
             object.__setattr__(self, "L", self.M)
-        object.__setattr__(self, "L", _check_natural("L", self.L))
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.E < 1:
-            raise ValueError(f"E must be at least 1, got {self.E}")
-        if self.D < 1:
-            raise ValueError(f"D must be at least 1, got {self.D}")
-        if self.M < 1:
-            raise ValueError(f"M must be at least 1, got {self.M}")
+        for name in ("p", "E", "D", "M", "L"):
+            object.__setattr__(self, name, _check_natural(name, getattr(self, name)))
+        _check_modulus(self.p, self.E)
+        for name in ("D", "M"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 1 <= self.L <= self.M:
             raise ValueError(f"L must satisfy 1 <= L <= M, got L={self.L} M={self.M}")
-        if self.p**self.E > MAX_MODULUS:
-            raise ValueError(
-                f"p**E = {self.p ** self.E} exceeds the supported modulus {MAX_MODULUS}"
-            )
         if self.M > MAX_AXIS_EXTENT:
             raise ValueError(f"M = {self.M} exceeds the supported axis extent {MAX_AXIS_EXTENT}")
-        if self.M**self.D > MAX_GRID_CELLS:
+        if _power_exceeds(self.M, self.D, MAX_GRID_CELLS):
             raise ValueError(
-                f"M**D = {self.M ** self.D} exceeds the supported grid size {MAX_GRID_CELLS}"
+                f"M**D = {self.M}**{self.D} exceeds the supported grid size {MAX_GRID_CELLS}"
             )
-        if self.p**self.E * self.M > MAX_TABLE_CELLS:
-            raise ValueError(
-                "binomial table of shape (p**E, M) exceeds the supported "
-                f"size {MAX_TABLE_CELLS}"
-            )
+        if self.modulus * self.M > MAX_TABLE_CELLS:
+            raise ValueError(f"p**E * M exceeds the supported table size {MAX_TABLE_CELLS}")
 
     @property
     def modulus(self) -> int:
@@ -164,27 +167,14 @@ def expand_batch(params: LearningParams, points) -> np.ndarray:
 
 
 def binomial_table(p: int, E: int, nmax: int, kmax: int) -> np.ndarray:
-    """Tabulate C(n, k) mod p**E for all n <= nmax, k <= kmax.
+    """The int64 table t[n, k] = C(n, k) mod p**E for all n <= nmax, k <= kmax.
 
-    Args:
-        p: prime base of the modulus.
-        E: precision exponent; entries are reduced mod p**E.
-        nmax: largest upper argument covered.
-        kmax: largest lower argument covered.
-
-    Returns:
-        An int64 array t with t[n, k] = C(n, k) mod p**E; its rows satisfy
-        the Pascal recurrence mod p**E and vanish for k > n.
+    Its rows satisfy the Pascal recurrence mod p**E and vanish for k > n.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if E < 1:
-        raise ValueError(f"E must be at least 1, got {E}")
+    _check_modulus(p, E)
     if nmax < 0 or kmax < 0:
         raise ValueError(f"table bounds must be non-negative, got {nmax}, {kmax}")
     mod = p**E
-    if mod > MAX_MODULUS:
-        raise ValueError(f"p**E = {mod} exceeds the supported modulus {MAX_MODULUS}")
     if (nmax + 1) * (kmax + 1) > MAX_TABLE_CELLS:
         raise ValueError(
             f"table of {(nmax + 1) * (kmax + 1)} entries exceeds the "

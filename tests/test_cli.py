@@ -56,12 +56,13 @@ class TestGenSamples:
 class TestPipeline:
     def test_learn_predict_bench(self, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
-        model = tmp_path / "model.txt"
+        model = tmp_path / "model.bin"
         report = tmp_path / "report.txt"
 
         assert run("gen-samples", "--D", "3", "--M", "16", "--out", str(samples)) == 0
         assert run("learn", *SMALL, "--in", str(samples), "--out", str(model)) == 0
-        assert model.read_text().startswith("2 6 3 16 16\n")
+        head = model.read_bytes().split(b"\n", 1)[0]
+        assert head.split()[:5] == [b"2", b"6", b"3", b"16", b"16"]
 
         assert run("predict", "--in", str(model), "--point", "1 2 3") == 0
         out = capsys.readouterr().out
@@ -87,7 +88,7 @@ class TestPipeline:
 
     def test_bench_model_matches_inline_training(self, tmp_path):
         samples = tmp_path / "samples.txt"
-        model = tmp_path / "model.txt"
+        model = tmp_path / "model.bin"
         ra = tmp_path / "ra.txt"
         rb = tmp_path / "rb.txt"
         assert run("gen-samples", "--D", "3", "--M", "16", "--out", str(samples)) == 0
@@ -120,7 +121,7 @@ class TestPipeline:
 
     def test_dump_coeffs(self, tmp_path):
         samples = tmp_path / "samples.txt"
-        model = tmp_path / "model.txt"
+        model = tmp_path / "model.bin"
         dump = tmp_path / "coeffs.txt"
         small1 = ["--p", "2", "--E", "3", "--D", "1", "--M", "4"]
         samples.write_text("0\n3\n")
@@ -133,18 +134,20 @@ class TestPipeline:
     def test_dump_value_column_is_model_body(self, tmp_path):
         rng = np.random.default_rng(12)
         samples = tmp_path / "samples.txt"
-        model = tmp_path / "model.txt"
+        model = tmp_path / "model.bin"
         dump = tmp_path / "coeffs.txt"
         write_sample_file(samples, rng.integers(0, 5, size=(6, 2)))
         flags = ["--p", "3", "--E", "3", "--D", "2", "--M", "5", "--L", "4"]
         assert run("learn", *flags, "--in", str(samples), "--out", str(model)) == 0
         assert run("dump-coeffs", "--in", str(model), "--out", str(dump)) == 0
-        head, *body = model.read_text().splitlines()
+        head, body = model.read_bytes().split(b"\n", 1)
         dump_head, *rows = dump.read_text().splitlines()
-        assert head == "3 3 2 5 4"
+        assert head.split()[:5] == [b"3", b"3", b"2", b"5", b"4"]
         assert dump_head == "3 3 2 4"
-        assert len(body) == 16 and any(v != "0" for v in body)
-        assert [r.split()[-1] for r in rows] == body
+        # p**E - 1 = 26 fits one byte per value
+        values = [str(v) for v in np.frombuffer(body, np.uint8)]
+        assert len(values) == 16 and any(v != "0" for v in values)
+        assert [r.split()[-1] for r in rows] == values
         idx = [[str(a), str(b)] for a in range(4) for b in range(4)]
         assert [r.split()[:-1] for r in rows] == idx
 
@@ -158,7 +161,7 @@ class TestErrors:
         samples.write_text("0\n")
         code = run(
             "learn", "--p", "4", "--E", "2", "--D", "1", "--M", "2",
-            "--in", str(samples), "--out", str(tmp_path / "m.txt"),
+            "--in", str(samples), "--out", str(tmp_path / "m.bin"),
         )
         assert code == 1
         assert "prime" in capsys.readouterr().err
@@ -166,14 +169,14 @@ class TestErrors:
     def test_missing_sample_file(self, tmp_path, capsys):
         code = run(
             "learn", *SMALL, "--in", str(tmp_path / "nope.txt"),
-            "--out", str(tmp_path / "m.txt"),
+            "--out", str(tmp_path / "m.bin"),
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_point(self, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
-        model = tmp_path / "model.txt"
+        model = tmp_path / "model.bin"
         small1 = ["--p", "2", "--E", "3", "--D", "1", "--M", "4"]
         samples.write_text("0\n")
         assert run("learn", *small1, "--in", str(samples), "--out", str(model)) == 0

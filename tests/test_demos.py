@@ -1,4 +1,4 @@
-"""The quick demos run standalone and exit cleanly.
+"""The quick demos run standalone and exit cleanly, with warnings as errors.
 
 demos/04 trains the full Nim model and runs every task; it is left to
 the acceptance suite, which covers the same numbers.
@@ -23,7 +23,7 @@ def test_demo_runs(demo):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
         env=env,
         capture_output=True,
         text=True,

@@ -1,8 +1,17 @@
+import io
+
 import numpy as np
 import pytest
 from oracles import series_value
 
-from padiclearn.learner import DefiningFunctionEstimate, SampleSet, build_value_grid, learn
+from padiclearn.learner import (
+    DefiningFunctionEstimate,
+    SampleSet,
+    build_value_grid,
+    learn,
+    read_coefficient_rows,
+    write_coefficient_rows,
+)
 from padiclearn.padic import LearningParams
 from padiclearn.trie import PadicTrie
 
@@ -182,13 +191,13 @@ class TestPersistence:
         rng = np.random.default_rng(36)
         params, samples = random_setup(rng)
         est = learn(samples)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.bin"
         est.save(path)
         back = DefiningFunctionEstimate.load(path)
         assert back.params == est.params
         assert np.array_equal(back.coeffs.data, est.coeffs.data)
         assert np.array_equal(back.table, est.table)
-        path2 = tmp_path / "model2.txt"
+        path2 = tmp_path / "model2.bin"
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
@@ -196,7 +205,7 @@ class TestPersistence:
         params = LearningParams(p=2, E=4, D=2, M=4, L=3)
         samples = SampleSet(params, [(0, 0), (1, 3), (2, 2)])
         est = learn(samples)
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.bin"
         est.save(path)
         back = DefiningFunctionEstimate.load(path)
         pts = np.array([(a, b) for a in range(8) for b in range(8)])
@@ -206,28 +215,102 @@ class TestPersistence:
         params = LearningParams(p=2, E=5, D=3, M=6, L=3)
         rng = np.random.default_rng(37)
         est = learn(SampleSet(params, rng.integers(0, 6, size=(9, 3))))
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.bin"
         est.save(path)
-        assert len(path.read_text().splitlines()) == 1 + 3**3
+        head = path.read_bytes().split(b"\n", 1)[0]
+        # header line, then one byte per window value: p**E - 1 = 31 fits uint8
+        assert path.stat().st_size == len(head) + 1 + 3**3
         back = DefiningFunctionEstimate.load(path)
         assert back.params == est.params
         assert np.array_equal(back.coeffs.data, est.coeffs.data)
         assert np.array_equal(back.table, est.table)
-        path2 = tmp_path / "model2.txt"
+        path2 = tmp_path / "model2.bin"
         back.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_golden_bytes(self, tmp_path):
+        est = learn(SampleSet(LearningParams(p=2, E=2, D=1, M=2), [(0,)]))
+        path = tmp_path / "model.bin"
+        est.save(path)
+        assert path.read_bytes() == b"2 2 1 2 2 d91b44947c0e7d464d6ba8b3ed39bf14\n\x00\x01"
+
+    @pytest.mark.parametrize(
+        "p, E, dtype",
+        [
+            (2, 8, np.uint8),
+            (2, 9, np.uint16),
+            (2, 16, np.uint16),
+            (2, 17, np.uint32),
+            (3, 11, np.uint32),
+        ],
+    )
+    def test_body_dtype_follows_modulus(self, tmp_path, p, E, dtype):
+        # the smallest unsigned dtype that holds p**E - 1
+        params = LearningParams(p=p, E=E, D=2, M=3)
+        est = learn(SampleSet(params, [(0, 1), (2, 2)]))
+        path = tmp_path / "model.bin"
+        est.save(path)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body == est.coeffs.data.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
+        assert len(body) == 9 * np.dtype(dtype).itemsize
+        assert np.array_equal(DefiningFunctionEstimate.load(path).coeffs.data, est.coeffs.data)
+
+    def _saved(self, tmp_path):
+        params = LearningParams(p=2, E=4, D=2, M=4)
+        est = learn(SampleSet(params, [(0, 1), (2, 2), (3, 0)]))
+        path = tmp_path / "model.bin"
+        est.save(path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        return path, head, body
+
+    def test_flipped_body_byte_rejected(self, tmp_path):
+        path, head, body = self._saved(tmp_path)
+        for i in (0, 7, len(body) - 1):
+            # values stay below 16, so only the digest can tell
+            flipped = body[:i] + bytes([body[i] ^ 1]) + body[i + 1 :]
+            path.write_bytes(head + b"\n" + flipped)
+            with pytest.raises(ValueError, match="digest"):
+                DefiningFunctionEstimate.load(path)
+
+    def test_tampered_header_field_rejected(self, tmp_path):
+        path, head, body = self._saved(tmp_path)
+        p, E, D, M, L, digest = head.split()
+        assert (p, E, D, M, L) == (b"2", b"4", b"2", b"4", b"4")
+        # same body size under each, so the digest catches them
+        for fields in ([b"2", b"4", b"2", b"5", b"4"], [b"02", b"4", b"2", b"4", b"4"]):
+            path.write_bytes(b" ".join([*fields, digest]) + b"\n" + body)
+            with pytest.raises(ValueError, match="digest"):
+                DefiningFunctionEstimate.load(path)
+        other = digest[:-1] + (b"1" if digest.endswith(b"0") else b"0")
+        path.write_bytes(b" ".join([p, E, D, M, L, other]) + b"\n" + body)
+        with pytest.raises(ValueError, match="digest"):
+            DefiningFunctionEstimate.load(path)
+
+    def test_body_one_byte_short_or_long(self, tmp_path):
+        path, head, body = self._saved(tmp_path)
+        for bad, got in [(body[:-1], "got 15"), (body + b"\x00", "got more")]:
+            path.write_bytes(head + b"\n" + bad)
+            with pytest.raises(ValueError, match=rf"must be 16 bytes, L\*\*D uint8 values, {got}"):
+                DefiningFunctionEstimate.load(path)
+
+    def test_long_body_read_is_bounded(self, tmp_path):
+        path, head, body = self._saved(tmp_path)
+        fh = io.BytesIO(head + b"\n" + body + bytes(1 << 20))
+        with pytest.raises(ValueError, match="got more"):
+            read_coefficient_rows(fh)
+        assert fh.tell() == len(head) + 1 + len(body) + 1
+
     def test_cutoff_header_with_outside_coefficients_rejected(self, tmp_path):
-        # M**D rows under an L < M header fail the L**D row count
+        # the M**D window under an L < M header fails the L**D body size
         params = LearningParams(p=2, E=4, D=1, M=4)
         est = learn(SampleSet(params, [(0,)]))
         assert est.coeffs.data[2:].any()
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.bin"
         est.save(path)
-        head, rows = path.read_text().split("\n", 1)
-        assert head == "2 4 1 4 4"
-        path.write_text("2 4 1 4 2\n" + rows)
-        with pytest.raises(ValueError):
+        head, body = path.read_bytes().split(b"\n", 1)
+        assert head.split()[:5] == [b"2", b"4", b"1", b"4", b"4"]
+        path.write_bytes(b"2 4 1 4 2 " + head.split()[5] + b"\n" + body)
+        with pytest.raises(ValueError, match="must be 2 bytes"):
             DefiningFunctionEstimate.load(path)
 
     def test_header_validation(self, tmp_path):
@@ -238,24 +321,45 @@ class TestPersistence:
         bad.write_text("2 4 1 x 2\n")
         with pytest.raises(ValueError):
             DefiningFunctionEstimate.load(bad)
-
-    def test_row_validation(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        # header fine; a value outside [0, p**E) = [0, 4), or no body at all
-        for body, message in [("1\n4\n", r"\[0, 4\)"), ("1\n-1\n", r"\[0, 4\)"), ("", "2 lines")]:
-            bad.write_text("2 2 1 2 2\n" + body)
+        digest = "0" * 32
+        for head, message in [
+            (f"2 4 1 x 2 {digest}\n", "bad model header"),
+            (f"2 4 1 2 2 {digest}", "one line"),  # no newline: no body either
+            (f"2 4 1 2 2 {digest}" + " " * 200 + "\n", "one line"),
+            (f"{2**61 - 1} 1 1 1 1 {digest}\n", "supported modulus"),
+        ]:
+            bad.write_text(head)
             with pytest.raises(ValueError, match=message):
                 DefiningFunctionEstimate.load(bad)
 
+    def test_row_validation(self, tmp_path):
+        bad = tmp_path / "bad.bin"
+        params = LearningParams(p=2, E=2, D=1, M=2)
+        # digest fine; a value outside [0, p**E) = [0, 4)
+        for window in ([1, 4], [1, 255]):
+            with open(bad, "wb") as fh:
+                write_coefficient_rows(fh, params, np.array(window))
+            with pytest.raises(ValueError, match=r"\[0, 4\)"):
+                DefiningFunctionEstimate.load(bad)
+        # or no body at all
+        head = bad.read_bytes().split(b"\n", 1)[0]
+        bad.write_bytes(head + b"\n")
+        with pytest.raises(ValueError, match="must be 2 bytes"):
+            DefiningFunctionEstimate.load(bad)
+
     def test_indexed_model_rejected(self, tmp_path):
-        # a body of `l_0 ... l_{D-1} value` lines, the older layout, is not read
-        params = LearningParams(p=2, E=4, D=2, M=3)
-        est = learn(SampleSet(params, [(0, 1), (2, 2)]))
-        path = tmp_path / "model.txt"
-        est.save(path)
-        head, *values = path.read_text().splitlines()
+        # a `p E D M L` header over `l_0 ... l_{D-1} value` lines, an older layout
         idx = np.indices((3, 3)).reshape(2, -1).T
-        rows = [f"{a} {b} {v}" for (a, b), v in zip(idx.tolist(), values)]
-        path.write_text("\n".join([head, *rows]) + "\n")
-        with pytest.raises(ValueError, match="9 lines of one coefficient value each"):
+        rows = [f"{a} {b} {(a + b) % 16}" for a, b in idx.tolist()]
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(["2 4 2 3 3", *rows]) + "\n")
+        with pytest.raises(ValueError, match="p E D M L <digest>"):
+            DefiningFunctionEstimate.load(path)
+
+    def test_text_model_rejected(self, tmp_path):
+        # a `p E D M L` header over one bare decimal value per line
+        values = [str(v % 16) for v in range(9)]
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(["2 4 2 3 3", *values]) + "\n")
+        with pytest.raises(ValueError, match="p E D M L <digest>"):
             DefiningFunctionEstimate.load(path)

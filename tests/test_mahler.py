@@ -6,14 +6,13 @@ import pytest
 from oracles import mahler_coeffs_1d, series_value
 
 from padiclearn import mahler
+from padiclearn.learner import read_coefficient_rows, write_coefficient_rows
 from padiclearn.mahler import (
     ResidueGrid,
     dump_coefficients,
     evaluate_at_points,
     evaluate_on_grid,
     mahler_transform,
-    read_coefficient_rows,
-    write_coefficient_rows,
 )
 from padiclearn.padic import LearningParams, binomial_table
 
@@ -309,6 +308,35 @@ class TestEvaluate:
         # the sorted points, order and output add 0.13-0.16 of the budget
         assert peak < 1.5 * 8 * budget
 
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_group_block_counts_gathered_rows(self, monkeypatch, D):
+        # 4096 distinct x0: a block's gathered table rows coexist with its
+        # partials; sized by the partials alone, the block of these groups
+        # would hold about 2.5x (D=2) or 4.5x (D=1) the budget
+        budget = 1 << 16
+        rng = np.random.default_rng(46)
+        params = LearningParams(p=2, E=12, D=D, M=64)
+        coeffs = ResidueGrid(params, rng.integers(0, 4096, (64,) * D))
+        table = binomial_table(2, 12, 4095, 63)
+        pts = rng.integers(0, 4096, size=(4096, D))
+        pts[:, 0] = rng.permutation(4096)
+        want = evaluate_at_points(coeffs, pts, table)
+        monkeypatch.setattr(mahler, "CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            got = evaluate_at_points(coeffs, pts, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == want.tolist()
+        # the sorted points, order, group bounds and output add 0.38-0.45
+        assert peak < 1.5 * 8 * budget
+
+
+# a well-formed header for p=2 E=3 D=2 M=2 L=2 with a placeholder digest
+DUMMY_HEAD = b"2 3 2 2 2 " + b"0" * 32 + b"\n"
+
+
 class TestDumpFormat:
     def test_header_and_rows(self, tmp_path):
         params = LearningParams(p=2, E=3, D=2, M=2)
@@ -319,27 +347,32 @@ class TestDumpFormat:
         assert lines[0] == "2 3 2 2"
         assert lines[1:] == ["0 0 1", "0 1 2", "1 0 3", "1 1 4"]
 
+    # a dump is read from a model file: the raw window under a digest header
+
     def test_row_parse_round_trip(self):
         rng = np.random.default_rng(27)
         grid = random_grid(rng)
-        buf = io.StringIO()
-        write_coefficient_rows(buf, grid.data)
-        assert buf.getvalue().split() == [str(v) for v in grid.data.reshape(-1).tolist()]
+        buf = io.BytesIO()
+        write_coefficient_rows(buf, grid.params, grid.data)
+        body = buf.getvalue().split(b"\n", 1)[1]
+        assert body == grid.data.astype(np.min_scalar_type(grid.params.modulus - 1)).tobytes()
         buf.seek(0)
-        back = read_coefficient_rows(buf, grid.params.D, grid.extent)
+        params, back = read_coefficient_rows(buf)
+        assert params == grid.params
         assert np.array_equal(back, grid.data)
 
     def test_rejects_wrong_count(self):
-        # short, long, and the older indexed `l_0 l_1 value` layout
-        for text in ("1\n2\n3\n", "1\n2\n3\n4\n5\n", "0 0 1\n0 1 2\n1 0 3\n1 1 4\n"):
-            with pytest.raises(ValueError, match="4 lines of one coefficient value each"):
-                read_coefficient_rows(io.StringIO(text), 2, 2)
+        # short, long, and the older indexed `l_0 l_1 value` rows
+        for body in (b"\x01\x02\x03", b"\x01\x02\x03\x04\x05", b"0 0 1\n0 1 2\n1 0 3\n1 1 4\n"):
+            with pytest.raises(ValueError, match="must be 4 bytes"):
+                read_coefficient_rows(io.BytesIO(DUMMY_HEAD + body))
 
     @pytest.mark.parametrize(
         "text",
-        ["1\n2.5\n3\n4\n", "1\n# 2\n3\n4\n", "", "\n \n"],
-        ids=["non-integer", "comment", "empty", "blank"],
+        ["1\n2.5\n3\n4\n", "1\n# 2\n3\n4\n", "", "\n \n", "1\n2\n"],
+        ids=["non-integer", "comment", "empty", "blank", "text-of-body-size"],
     )
     def test_rejects_malformed_body(self, text):
         with pytest.raises(ValueError):
-            read_coefficient_rows(io.StringIO(text), 2, 2)
+            read_coefficient_rows(io.BytesIO(DUMMY_HEAD + text.encode()))
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import valuation
 
+from padiclearn import padic
 from padiclearn.padic import (
     LearningParams,
     binomial_table,
@@ -80,6 +81,44 @@ class TestLearningParams:
             LearningParams(p=2, E=2, D=1, M=1 << 13)  # axis extent
         with pytest.raises(ValueError):
             LearningParams(p=2, E=2, D=9, M=1 << 3)  # grid cells: 2**27
+
+    def test_caps_come_before_trial_division(self, monkeypatch):
+        # trial division of 2**61 - 1 runs for minutes; the modulus cap rejects it first
+        calls = []
+        monkeypatch.setattr(padic, "is_prime", lambda n: calls.append(n) or True)
+        with pytest.raises(ValueError, match="supported modulus"):
+            LearningParams(p=2**61 - 1, E=1, D=1, M=1)
+        with pytest.raises(ValueError, match="supported modulus"):
+            binomial_table(2**61 - 1, 1, 1, 1)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(p=2, E=10**8, D=1, M=1), "supported modulus"),
+            (dict(p=3, E=10**8, D=1, M=1), "supported modulus"),
+            (dict(p=2, E=2, D=10**8, M=2), "supported grid size"),
+            (dict(p=2, E=2, D=25, M=2), "supported grid size"),
+        ],
+    )
+    def test_huge_exponents_fail_fast(self, kwargs, message):
+        # neither p**E nor M**D is built, nor printed
+        with pytest.raises(ValueError, match=message) as info:
+            LearningParams(**kwargs)
+        assert len(str(info.value)) < 100
+
+    def test_huge_table_exponent_fails_fast(self):
+        with pytest.raises(ValueError, match="supported modulus") as info:
+            binomial_table(2, 10**8, 1, 1)
+        assert len(str(info.value)) < 100
+
+    def test_caps_admit_their_edges(self):
+        assert LearningParams(p=2, E=20, D=1, M=2).modulus == padic.MAX_MODULUS
+        assert LearningParams(p=2, E=1, D=24, M=2).D == 24
+        with pytest.raises(ValueError, match="supported modulus"):
+            LearningParams(p=2, E=21, D=1, M=2)
+        with pytest.raises(ValueError, match="supported modulus"):
+            LearningParams(p=1048583, E=1, D=1, M=1)  # the first prime above 2**20
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
