@@ -1,10 +1,10 @@
 """Learning zero loci of p-adically continuous maps from finite samples.
 
-The pipeline: index sample points in a digit-interleaving trie, read off
-max-valuation distances to fill a residue grid, Mahler-transform the
-grid into coefficients of the product binomial basis, and evaluate the
+The pipeline: fill a residue grid with p**v, v the best valuation any
+sample achieves against each node (a digit trie answers), Mahler-transform
+the grid into coefficients of the product binomial basis, and evaluate the
 truncated series to predict membership of unseen points.  A three-heap
-Nim benchmark exercises the whole stack end to end.
+Nim benchmark (members: zero-XOR positions) exercises the whole stack.
 """
 
 from .learner import DefiningFunctionEstimate, SampleSet, build_value_grid, learn
@@ -13,7 +13,6 @@ from .nim import (
     BENCHMARK_PARAMS,
     BenchmarkReport,
     generate_p_positions,
-    grundy_nim,
     run_task,
     sample_p_positions,
     trivial_baseline,
@@ -34,7 +33,6 @@ __all__ = [
     "dump_coefficients",
     "evaluate_on_grid",
     "generate_p_positions",
-    "grundy_nim",
     "learn",
     "mahler_transform",
     "run_task",

@@ -42,9 +42,6 @@ class SampleSet:
             raise ValueError("sample set must not be empty")
         object.__setattr__(self, "points", np.unique(pts, axis=0))
 
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
 
 def build_value_grid(samples: SampleSet) -> ResidueGrid:
     """Fill [0, M)**D with p**v, v the trie valuation of each grid node."""

@@ -15,27 +15,18 @@ member or a false alarm, whichever the task can exhibit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .learner import DefiningFunctionEstimate
-from .padic import CHUNK_CELLS, LearningParams, as_coordinates
+from .padic import CHUNK_CELLS, MAX_GRID_CELLS, LearningParams, as_coordinates
 
 BENCHMARK_PARAMS = LearningParams(p=2, E=10, D=3, M=100)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
-
-
-def grundy_nim(point) -> int:
-    """Grundy value of a Nim position: the XOR of its heap sizes."""
-    coords = np.atleast_1d(as_coordinates(point))
-    if coords.ndim != 1:
-        raise ValueError(f"expected one position of heap sizes, got shape {coords.shape}")
-    if (coords < 0).any():
-        raise ValueError(f"heap sizes must be natural numbers, got {tuple(coords.tolist())}")
-    return int(np.bitwise_xor.reduce(coords))
 
 
 def generate_p_positions(D: int, bounds) -> np.ndarray:
@@ -43,7 +34,8 @@ def generate_p_positions(D: int, bounds) -> np.ndarray:
 
     The first D-1 coordinates range freely; the last is forced to their
     XOR and kept only when it fits under the final bound.  bounds may be
-    one integer (a cube) or a length-D sequence.
+    one integer (a cube) or a length-D sequence.  A free box of more than
+    MAX_GRID_CELLS points raises ValueError.
     """
     if D < 1:
         raise ValueError(f"D must be at least 1, got {D}")
@@ -56,6 +48,10 @@ def generate_p_positions(D: int, bounds) -> np.ndarray:
         raise ValueError(f"bounds must be non-negative, got {bounds}")
     if min(bounds) == 0:
         return np.empty((0, D), dtype=np.int64)
+    if math.prod(bounds[:-1]) > MAX_GRID_CELLS:
+        raise ValueError(
+            f"the free box {bounds[:-1]} exceeds the supported grid size {MAX_GRID_CELLS}"
+        )
     if D == 1:
         return np.zeros((1, 1), dtype=np.int64)
     free = np.indices(bounds[:-1]).reshape(D - 1, -1).T.astype(np.int64)
@@ -139,21 +135,24 @@ def _xor_grid(axes) -> np.ndarray:
     return acc
 
 
-def _plane_slabs(bound: int, D: int, cap: int) -> list[tuple[int, int]]:
-    """[lo, hi) ranges of x1 that cut the x0 = 0 plane into slabs of <= cap cells.
+def _slabs(task: int, rows: int, row_cells: int) -> list[tuple[int, int]]:
+    """[lo, hi) ranges that cut rows of row_cells cells into slabs of <= CHUNK_CELLS cells.
 
-    With D = 1 the plane is the single point x0 = 0, one slab.
+    Task 2 cuts the x0 = 0 plane along x1, task 4 its points along x0.
     """
-    if D == 1:
-        return [(0, 1)]
-    per_x1 = bound ** (D - 2)
-    if per_x1 > cap:
-        raise ValueError(
-            f"one x1 slab of the task 2 plane holds {per_x1} cells, over the sweep "
-            f"limit of {cap}; run task 2 with --mode subsample instead"
-        )
-    step = cap // per_x1
-    return [(lo, min(lo + step, bound)) for lo in range(0, bound, step)]
+    if row_cells > CHUNK_CELLS:
+        hint = "; run task 2 with --mode subsample instead" if task == 2 else ""
+        raise ValueError(f"one task {task} slab holds {row_cells} cells, over {CHUNK_CELLS}{hint}")
+    step = CHUNK_CELLS // row_cells
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _p_positions_x0(D: int, lo: int, hi: int, bound: int) -> np.ndarray:
+    """Zero-XOR points of [lo, hi) x [0, bound)**(D-1); a power-of-two bound keeps every XOR."""
+    pts = generate_p_positions(D, (hi - lo,) + (bound,) * (D - 1))
+    pts[:, 0] += lo
+    pts[:, -1] = np.bitwise_xor.reduce(pts[:, :-1], axis=1)
+    return pts
 
 
 def _check_task(task: int, params: LearningParams):
@@ -177,8 +176,9 @@ def run_task(
 
     Tasks 1 and 3 draw `trials` seeded random points.  Tasks 2 and 4 are
     exhaustive and ignore `trials` and `seed`.  Exhaustive task 2 sweeps
-    the plane in x_1 slabs of bounded size and raises ValueError when one
-    slab alone is too large; task 2 alternatively runs
+    the plane in x_1 slabs and task 4 its points in x_0 slabs, each of at
+    most CHUNK_CELLS cells, and both raise ValueError when one slab alone
+    is too large; task 2 alternatively runs
     with mode="subsample", which grades a stratified random subset of the
     plane (sample_size points spread evenly over the x_1 strata, remaining
     coordinates uniform) and attaches a 95% Wilson interval to the
@@ -195,7 +195,7 @@ def run_task(
 
     if task == 2 and mode == "exhaustive":
         failures = 0
-        for lo, hi in _plane_slabs(bound, P.D, CHUNK_CELLS):
+        for lo, hi in _slabs(2, bound if P.D > 1 else 1, bound ** max(P.D - 2, 0)):
             # D = 1 keeps only the x0 axis
             axes = ([np.array([0]), np.arange(lo, hi)] + [np.arange(bound)] * (P.D - 2))[: P.D]
             residues = est.predict_residue_grid(axes)
@@ -206,7 +206,7 @@ def run_task(
             raise ValueError(f"task {task} needs a positive trial count")
         if task == 1:
             rng = np.random.default_rng(seed)
-            pts = rng.integers(0, bound, size=(trials, P.D), dtype=np.int64)
+            chunks = [rng.integers(0, bound, size=(trials, P.D), dtype=np.int64)]
             rep_seed, rep_mode = seed, "random"
         elif task == 2:
             if P.D < 3:
@@ -219,18 +219,22 @@ def run_task(
             quota = -(-sample_size // bound)
             x1 = np.repeat(np.arange(bound, dtype=np.int64), quota)
             rest = rng.integers(0, bound, size=(x1.size, P.D - 2), dtype=np.int64)
-            pts = np.column_stack([np.zeros(x1.size, dtype=np.int64), x1, rest])
+            chunks = [np.column_stack([np.zeros(x1.size, dtype=np.int64), x1, rest])]
             rep_seed, rep_mode = seed, "subsample"
         elif task == 3:
-            pts = sample_p_positions(np.random.default_rng(seed), P.D, bound, trials)
+            chunks = [sample_p_positions(np.random.default_rng(seed), P.D, bound, trials)]
             rep_seed, rep_mode = seed, "random"
         else:
-            pts = generate_p_positions(P.D, (64,) + (bound,) * (P.D - 1))
+            # cells of an x0 slab are the coordinates of its points
+            slabs = _slabs(4, 64 if P.D > 1 else 1, P.D * bound ** max(P.D - 2, 0))
+            chunks = (_p_positions_x0(P.D, lo, hi, bound) for lo, hi in slabs)
             rep_seed, rep_mode = None, "exhaustive"
         # tasks 3 and 4 query members only, so every failure there is a miss
-        truth = np.bitwise_xor.reduce(pts, axis=1) == 0
-        failures = int(np.count_nonzero(est.is_member_batch(pts) != truth))
-        n = pts.shape[0]
+        failures = n = 0
+        for pts in chunks:
+            truth = np.bitwise_xor.reduce(pts, axis=1) == 0
+            failures += int(np.count_nonzero(est.is_member_batch(pts) != truth))
+            n += pts.shape[0]
         ci = _wilson_95(n - failures, n) if rep_mode == "subsample" else None
 
     ms = int(round((time.perf_counter() - t0) * 1000))
@@ -253,9 +257,7 @@ def trivial_baseline(task: int, params: LearningParams = BENCHMARK_PARAMS) -> Be
         trials = bound ** (D - 1)
         failures = bound ** (D - 2) if D >= 2 else 1
     elif task == 3:
-        trials = bound ** (D - 1)
-        failures = trials
+        trials = failures = bound ** (D - 1)
     else:
-        trials = 64 * bound ** (D - 2) if D >= 2 else 1
-        failures = trials
+        trials = failures = 64 * bound ** (D - 2) if D >= 2 else 1
     return BenchmarkReport(task, params, None, trials, failures, 0, "exhaustive", None)

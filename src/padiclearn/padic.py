@@ -1,10 +1,7 @@
-"""Prime-power modular arithmetic, digit interleaving, and binomial tables.
+"""Prime-power parameters, their caps, the point input gate, and binomial tables.
 
 Every downstream stage works with residues modulo p**E for a prime p and
-a precision exponent E.  A point is a D-vector of natural numbers; its
-interleaved base-p digit string (one digit round after another, coordinate
-major inside each round) is the key under which the trie and the
-ultrametric geometry see it.
+a precision exponent E.  A point is a D-vector of natural numbers.
 """
 
 from __future__ import annotations
@@ -19,6 +16,7 @@ import numpy as np
 MAX_MODULUS = 1 << 20  # p**E
 MAX_AXIS_EXTENT = 1 << 12  # per-axis grid bound M
 MAX_GRID_CELLS = 1 << 24  # M**D
+MAX_DIMENSION = 32  # D; numpy before 2.0 holds at most 32 axes per array
 MAX_TABLE_CELLS = 1 << 26  # entries of one binomial table
 
 # The exact contractions in mahler (the transform, grid and point
@@ -27,8 +25,8 @@ MAX_TABLE_CELLS = 1 << 26  # entries of one binomial table
 # can overflow.
 assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**63
 
-# value-grid fill, point evaluation and task-2 plane sweeps work through
-# scratch arrays of at most this many int64 cells
+# value-grid fill, point evaluation and the task-2 and task-4 sweeps work
+# through scratch arrays of at most this many int64 cells
 CHUNK_CELLS = 1 << 22
 
 
@@ -100,17 +98,14 @@ class LearningParams:
             raise ValueError(
                 f"M**D = {self.M}**{self.D} exceeds the supported grid size {MAX_GRID_CELLS}"
             )
+        if self.D > MAX_DIMENSION:  # reachable only at M = 1
+            raise ValueError(f"D = {self.D} exceeds the supported dimension {MAX_DIMENSION}")
         if self.modulus * self.M > MAX_TABLE_CELLS:
             raise ValueError(f"p**E * M exceeds the supported table size {MAX_TABLE_CELLS}")
 
     @property
     def modulus(self) -> int:
         return self.p**self.E
-
-    @property
-    def digit_count(self) -> int:
-        """Length of one interleaved digit string."""
-        return self.E * self.D
 
 
 def as_coordinates(values) -> np.ndarray:
@@ -140,30 +135,6 @@ def as_points(values, D: int, bound: int | None = None) -> np.ndarray:
     if bound is not None and pts.size and pts.max() >= bound:
         raise ValueError(f"coordinates must lie in [0, {bound})")
     return pts
-
-
-def expand(params: LearningParams, point) -> np.ndarray:
-    """Interleaved base-p digit string of one D-vector: one row of expand_batch."""
-    return expand_batch(params, [point])[0]
-
-
-def expand_batch(params: LearningParams, points) -> np.ndarray:
-    """Interleaved base-p digit strings of an (n, D) array of points.
-
-    Row i, column e*D + d holds the (e+1)-th base-p digit of coordinate d
-    of point i, so each string cycles through all coordinates once per
-    digit round.  Coordinates at or above p**E silently lose their high
-    digits.  The result is in the smallest unsigned dtype that holds a
-    digit, which keeps full-grid digit tables cheap.
-    """
-    pts = as_points(points, params.D)
-    dig_dtype = np.min_scalar_type(params.p - 1)
-    out = np.empty((pts.shape[0], params.digit_count), dtype=dig_dtype)
-    work = pts.copy()
-    for e in range(params.E):
-        out[:, e * params.D : (e + 1) * params.D] = work % params.p
-        work //= params.p
-    return out
 
 
 def binomial_table(p: int, E: int, nmax: int, kmax: int) -> np.ndarray:

@@ -163,7 +163,7 @@ def test_c08_trie_oracle_equivalence():
         brute = max(
             min(valuation(q - int(s), p, E) for q, s in zip(query, row)) for row in pts
         )
-        if trie.nns_valuation(query) != brute:
+        if trie.nns_valuation_batch([query])[0] != brute:
             failures += 1
     verdict(8, failures == 0, f"{failures} of {total} trie-vs-brute-force instances failed")
 

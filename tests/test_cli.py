@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from padiclearn import nim
 from padiclearn.cli import parse_and_dispatch, read_sample_file, write_sample_file
 
 SMALL = ["--p", "2", "--E", "6", "--D", "3", "--M", "16"]
@@ -182,6 +183,12 @@ class TestErrors:
         assert run("learn", *small1, "--in", str(samples), "--out", str(model)) == 0
         assert run("predict", "--in", str(model), "--point", "one") == 1
         assert "--point" in capsys.readouterr().err
+
+    def test_gen_samples_box_over_cap(self, monkeypatch, capsys):
+        # --D 4 --M 5000 asks for a free box of 5000**3 points; a small cap shows the same path
+        monkeypatch.setattr(nim, "MAX_GRID_CELLS", 100)
+        assert run("gen-samples", "--D", "3", "--M", "11") == 1
+        assert capsys.readouterr().err.startswith("error: the free box (11, 11) exceeds")
 
     def test_missing_required_flag(self):
         assert run("bench") == 2

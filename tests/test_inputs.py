@@ -11,8 +11,7 @@ import pytest
 
 from padiclearn.learner import SampleSet, learn
 from padiclearn.mahler import evaluate_on_grid
-from padiclearn.nim import grundy_nim
-from padiclearn.padic import LearningParams, expand, expand_batch
+from padiclearn.padic import LearningParams
 from padiclearn.trie import PadicTrie
 
 P = LearningParams(p=2, E=3, D=2, M=4)
@@ -32,12 +31,8 @@ APIS = {
     "predict_residue_batch": lambda pt: EST.predict_residue_batch([pt]),
     "predict_residue_grid": lambda pt: EST.predict_residue_grid(_axes(pt)),
     "evaluate_on_grid": lambda pt: evaluate_on_grid(EST.coeffs, _axes(pt), EST.table),
-    "expand": lambda pt: expand(P, pt),
-    "expand_batch": lambda pt: expand_batch(P, [pt]),
     "PadicTrie": lambda pt: PadicTrie(P, [pt]),
-    "nns_valuation": lambda pt: TRIE.nns_valuation(pt),
     "nns_valuation_batch": lambda pt: TRIE.nns_valuation_batch([pt]),
-    "grundy_nim": lambda pt: grundy_nim(pt),
 }
 
 
@@ -48,10 +43,7 @@ def test_no_silent_truncation(api, point):
         APIS[api](point)
 
 
-SCALAR_APIS = {
-    name: APIS[name] for name in ("predict_residue", "expand", "nns_valuation", "grundy_nim")
-}
-SCALAR_APIS["is_member"] = lambda pt: EST.is_member(pt)
+SCALAR_APIS = {"predict_residue": APIS["predict_residue"], "is_member": EST.is_member}
 
 
 @pytest.mark.parametrize("api", list(SCALAR_APIS))

@@ -33,7 +33,7 @@ class TestSampleSet:
         params = LearningParams(p=2, E=3, D=2, M=4)
         ss = SampleSet(params, [(3, 1), (0, 2), (3, 1)])
         assert ss.points.tolist() == [[0, 2], [3, 1]]
-        assert len(ss) == 2
+        assert ss.points.shape[0] == 2
 
     def test_single_point_row(self):
         params = LearningParams(p=2, E=3, D=2, M=4)

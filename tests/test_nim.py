@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,8 @@ from padiclearn.learner import SampleSet, learn
 from padiclearn.nim import (
     BENCHMARK_PARAMS,
     BenchmarkReport,
-    _plane_slabs,
+    _slabs,
     generate_p_positions,
-    grundy_nim,
     run_task,
     sample_p_positions,
     trivial_baseline,
@@ -22,20 +23,6 @@ def small_estimate():
     params = LearningParams(p=2, E=6, D=3, M=16)
     samples = SampleSet(params, generate_p_positions(3, 16))
     return learn(samples)
-
-
-class TestGrundy:
-    def test_examples(self):
-        assert grundy_nim((0, 0, 0)) == 0
-        assert grundy_nim((1, 2, 3)) == 0
-        assert grundy_nim((5, 7, 9)) == 11
-
-    def test_single_heap(self):
-        assert grundy_nim((13,)) == 13
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            grundy_nim((1, -2))
 
 
 class TestGeneratePPositions:
@@ -96,6 +83,14 @@ class TestGeneratePPositions:
     def test_non_integer_bounds_rejected(self, bounds):
         with pytest.raises(ValueError, match="expected integer values"):
             generate_p_positions(2, bounds)
+
+    def test_free_box_capped(self, monkeypatch):
+        # the free box is every axis but the last: 10 * 10 fits a cap of 100, 10 * 11 does not
+        monkeypatch.setattr(nim, "MAX_GRID_CELLS", 100)
+        assert generate_p_positions(3, (10, 10, 1000)).shape[0] == 100
+        assert generate_p_positions(1, (1000,)).shape[0] == 1
+        with pytest.raises(ValueError, match="supported grid size"):
+            generate_p_positions(3, (10, 11, 1))
 
 
 class TestSamplePPositions:
@@ -168,30 +163,68 @@ class TestRunTask(object):
         truth = np.bitwise_xor.reduce(pts, axis=1) == 0
         assert r2.failures == int(np.count_nonzero(member != truth))
 
-    def test_plane_slab_planner(self):
-        cap = 1 << 22
-        assert _plane_slabs(1024, 1, cap) == [(0, 1)]
-        assert _plane_slabs(1024, 2, cap) == [(0, 1024)]
-        assert _plane_slabs(1024, 3, cap) == [(0, 1024)]
+    def test_plane_slab_planner(self, monkeypatch):
+        monkeypatch.setattr(nim, "CHUNK_CELLS", 1 << 22)
+        # task 2 at E=10: one x1 row of the plane holds 1024**(D-2) cells; D=1 is one row
+        assert _slabs(2, 1, 1) == [(0, 1)]
+        assert _slabs(2, 1024, 1) == [(0, 1024)]
+        assert _slabs(2, 1024, 1024) == [(0, 1024)]
         # D=4 at E=10: 2**20 cells per x1 value, four x1 values per slab
-        slabs = _plane_slabs(1024, 4, cap)
+        slabs = _slabs(2, 1024, 1 << 20)
         assert len(slabs) == 256 and slabs[0] == (0, 4) and slabs[-1] == (1020, 1024)
-        # uneven split: slabs tile [0, bound) in order, none over the cap
-        slabs = _plane_slabs(64, 3, 64 * 5)
+        with pytest.raises(ValueError, match="subsample"):
+            _slabs(2, 1024, 1 << 30)
+        # uneven split: slabs tile [0, rows) in order, none over the cap
+        monkeypatch.setattr(nim, "CHUNK_CELLS", 64 * 5)
+        slabs = _slabs(2, 64, 64)
         assert slabs[0][0] == 0 and slabs[-1] == (60, 64)
         assert all(a[1] == b[0] for a, b in zip(slabs, slabs[1:]))
         assert all(0 < (hi - lo) * 64 <= 64 * 5 for lo, hi in slabs)
         with pytest.raises(ValueError, match="subsample"):
-            _plane_slabs(1024, 5, cap)
-        with pytest.raises(ValueError, match="subsample"):
-            _plane_slabs(64, 3, 63)
+            _slabs(2, 64, 64 * 5 + 1)
+        # task 4 has no subsample mode to point at
+        with pytest.raises(ValueError, match="one task 4 slab holds 321 cells") as info:
+            _slabs(4, 64, 64 * 5 + 1)
+        assert "subsample" not in str(info.value)
 
     def test_task2_slabs_match_one_sweep(self, small_estimate, monkeypatch):
         whole = run_task(small_estimate, 2)
         monkeypatch.setattr(nim, "CHUNK_CELLS", 64 * 5)
-        assert len(_plane_slabs(64, 3, nim.CHUNK_CELLS)) == 13
+        assert len(_slabs(2, 64, 64)) == 13
         sliced = run_task(small_estimate, 2)
         assert sliced.failures == whole.failures and sliced.trials == whole.trials
+
+    def test_task4_slabs_match_one_sweep(self, small_estimate, monkeypatch):
+        # E=6, D=3: 64 x0 rows of 64 points, 3 coordinates each; 16 rows per slab
+        whole = run_task(small_estimate, 4)
+        budget = 3 * 64 * 16
+        monkeypatch.setattr(nim, "CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            sliced = run_task(small_estimate, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sliced.to_text() == whole.to_text() and whole.trials == 64 * 64
+        # the slab's points, their gathered table rows (L = 16 per point) and
+        # sort order; the whole 4096-point sweep at once reads 17 budgets
+        assert peak < 8 * budget * 8
+
+    def test_task4_oversized_slab_rejected(self, small_estimate, monkeypatch):
+        monkeypatch.setattr(nim, "CHUNK_CELLS", 3 * 64 - 1)
+        with pytest.raises(ValueError, match="one task 4 slab holds 192 cells"):
+            run_task(small_estimate, 4)
+
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_task4_low_dimensions_keep_their_points(self, D, monkeypatch):
+        params = LearningParams(p=2, E=6, D=D, M=4)
+        est = learn(SampleSet(params, generate_p_positions(D, 4)))
+        pts = generate_p_positions(D, (64,) + (64,) * (D - 1))
+        assert pts.shape[0] == (1 if D == 1 else 64)
+        monkeypatch.setattr(nim, "CHUNK_CELLS", 5 * D)
+        rep = run_task(est, 4)
+        assert rep.trials == pts.shape[0]
+        assert rep.failures == int(np.count_nonzero(~est.is_member_batch(pts)))
 
     def test_task2_oversized_slab_points_at_subsample(self):
         # D=5 at E=10: one x1 slab is 2**30 cells, over the sweep limit

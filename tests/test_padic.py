@@ -5,13 +5,8 @@ import pytest
 from oracles import valuation
 
 from padiclearn import padic
-from padiclearn.padic import (
-    LearningParams,
-    binomial_table,
-    expand,
-    expand_batch,
-    is_prime,
-)
+from padiclearn.learner import SampleSet, learn
+from padiclearn.padic import LearningParams, binomial_table, is_prime
 
 
 class TestValuation:
@@ -55,7 +50,6 @@ class TestLearningParams:
         params = LearningParams(p=2, E=10, D=3, M=100)
         assert params.L == 100
         assert params.modulus == 1024
-        assert params.digit_count == 30
 
     def test_rejects_composite_p(self):
         for bad in (0, 1, 4, 9, 15):
@@ -99,6 +93,7 @@ class TestLearningParams:
             (dict(p=3, E=10**8, D=1, M=1), "supported modulus"),
             (dict(p=2, E=2, D=10**8, M=2), "supported grid size"),
             (dict(p=2, E=2, D=25, M=2), "supported grid size"),
+            (dict(p=2, E=1, D=10**8, M=1), "supported dimension"),
         ],
     )
     def test_huge_exponents_fail_fast(self, kwargs, message):
@@ -111,6 +106,14 @@ class TestLearningParams:
         with pytest.raises(ValueError, match="supported modulus") as info:
             binomial_table(2, 10**8, 1, 1)
         assert len(str(info.value)) < 100
+
+    def test_dimension_capped(self):
+        # M = 1 passes the grid cap at any D; numpy before 2.0 holds at most 32 axes
+        edge = LearningParams(p=2, E=1, D=padic.MAX_DIMENSION, M=1)
+        assert learn(SampleSet(edge, [(0,) * edge.D])).predict_residue((1,) * edge.D) == 0
+        for D in (padic.MAX_DIMENSION + 1, 70):
+            with pytest.raises(ValueError, match="supported dimension"):
+                LearningParams(p=2, E=1, D=D, M=1)
 
     def test_caps_admit_their_edges(self):
         assert LearningParams(p=2, E=20, D=1, M=2).modulus == padic.MAX_MODULUS
@@ -129,63 +132,6 @@ class TestLearningParams:
     def test_is_prime(self):
         primes = [n for n in range(60) if is_prime(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-
-
-class TestExpand:
-    def test_examples(self):
-        assert expand(LearningParams(p=2, E=2, D=2, M=4), (1, 2)).tolist() == [1, 0, 0, 1]
-        assert expand(LearningParams(p=2, E=3, D=1, M=2), (0,)).tolist() == [0, 0, 0]
-        assert expand(LearningParams(p=3, E=2, D=2, M=9), (5, 7)).tolist() == [2, 1, 1, 2]
-
-    def test_high_digits_truncated(self):
-        params = LearningParams(p=2, E=2, D=1, M=4)
-        assert expand(params, (4,)).tolist() == expand(params, (0,)).tolist()
-        assert expand(params, (5,)).tolist() == expand(params, (1,)).tolist()
-
-    def test_dimension_mismatch(self):
-        params = LearningParams(p=2, E=2, D=2, M=4)
-        with pytest.raises(ValueError):
-            expand(params, (1,))
-        with pytest.raises(ValueError):
-            expand(params, (1, 2, 3))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            expand(LearningParams(p=2, E=2, D=1, M=4), (-1,))
-
-    def test_injective_on_domain(self):
-        params = LearningParams(p=2, E=2, D=2, M=4)
-        seen = {tuple(expand(params, (a, b))) for a in range(4) for b in range(4)}
-        assert len(seen) == 16
-        params3 = LearningParams(p=3, E=2, D=1, M=9)
-        seen3 = {tuple(expand(params3, (a,))) for a in range(9)}
-        assert len(seen3) == 9
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            p = int(rng.choice([2, 3, 5]))
-            E = int(rng.integers(1, 5))
-            D = int(rng.integers(1, 4))
-            params = LearningParams(p=p, E=E, D=D, M=2)
-            point = [int(rng.integers(0, p**E * 3)) for _ in range(D)]
-            digits = expand(params, point)
-            for d in range(D):
-                rebuilt = sum(int(digits[e * D + d]) * p**e for e in range(E))
-                assert rebuilt == point[d] % p**E
-
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(3)
-        params = LearningParams(p=3, E=3, D=2, M=9)
-        pts = rng.integers(0, 40, size=(50, 2))
-        batch = expand_batch(params, pts)
-        for row, pt in zip(batch, pts):
-            assert row.tolist() == expand(params, pt).tolist()
-
-    def test_batch_shape_check(self):
-        params = LearningParams(p=2, E=2, D=2, M=4)
-        with pytest.raises(ValueError):
-            expand_batch(params, np.zeros((3, 3), dtype=np.int64))
 
 
 class TestBinomialTable:

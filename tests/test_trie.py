@@ -30,7 +30,7 @@ def random_instance(rng):
 
 class TestBuild:
     def test_empty_set_is_root_only(self):
-        trie = PadicTrie(LearningParams(p=2, E=2, D=1, M=2))
+        trie = PadicTrie(LearningParams(p=2, E=2, D=1, M=2), np.empty((0, 1), np.int64))
         assert trie.node_count == 1
 
     def test_rejects_wrong_point_shape(self):
@@ -51,7 +51,7 @@ class TestBuild:
         for _ in range(50):
             params, points, _ = random_instance(rng)
             trie = PadicTrie(params, points)
-            assert trie.node_count <= 1 + points.shape[0] * params.digit_count
+            assert trie.node_count <= 1 + points.shape[0] * params.E * params.D
 
     def test_duplicates_are_idempotent(self):
         params = LearningParams(p=2, E=3, D=2, M=4)
@@ -65,13 +65,10 @@ class TestNnsValuation:
     def test_examples(self):
         params = LearningParams(p=2, E=3, D=2, M=4)
         trie = PadicTrie(params, [(0, 0)])
-        assert trie.nns_valuation((0, 0)) == 3
-        assert trie.nns_valuation((1, 0)) == 0
-        assert trie.nns_valuation((2, 2)) == 1
+        assert trie.nns_valuation_batch([(0, 0), (1, 0), (2, 2)]).tolist() == [3, 0, 1]
 
     def test_empty_trie_returns_zero(self):
-        trie = PadicTrie(LearningParams(p=2, E=3, D=2, M=4))
-        assert trie.nns_valuation((0, 0)) == 0
+        trie = PadicTrie(LearningParams(p=2, E=3, D=2, M=4), np.empty((0, 2), np.int64))
         assert trie.nns_valuation_batch(np.zeros((4, 2), dtype=np.int64)).tolist() == [0] * 4
 
     def test_membership_iff_full_valuation(self):
@@ -82,16 +79,16 @@ class TestNnsValuation:
         for x in range(9):
             for y in range(9):
                 expected = any((x - a) % mod == 0 and (y - b) % mod == 0 for a, b in points)
-                assert (trie.nns_valuation((x, y)) == params.E) == expected
+                assert (trie.nns_valuation_batch([(x, y)])[0] == params.E) == expected
         # congruent mod p**E counts as membership: digits beyond E are dropped
-        assert trie.nns_valuation((1 + mod, 2)) == params.E
+        assert trie.nns_valuation_batch([(1 + mod, 2)])[0] == params.E
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(11)
         for _ in range(400):
             params, points, query = random_instance(rng)
             trie = PadicTrie(params, points)
-            assert trie.nns_valuation(query) == brute_force_nns(params, points, query)
+            assert trie.nns_valuation_batch([query])[0] == brute_force_nns(params, points, query)
 
     def test_monotone_under_superset(self):
         rng = np.random.default_rng(12)
@@ -100,7 +97,7 @@ class TestNnsValuation:
             half = points[: max(1, points.shape[0] // 2)]
             small = PadicTrie(params, half)
             big = PadicTrie(params, points)
-            assert big.nns_valuation(query) >= small.nns_valuation(query)
+            assert big.nns_valuation_batch([query])[0] >= small.nns_valuation_batch([query])[0]
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(13)
@@ -110,11 +107,11 @@ class TestNnsValuation:
             queries = rng.integers(0, params.modulus * 2, size=(40, params.D))
             batch = trie.nns_valuation_batch(queries)
             for row, q in zip(batch, queries):
-                assert int(row) == trie.nns_valuation(tuple(int(c) for c in q))
+                assert row == trie.nns_valuation_batch([q])[0]
 
     def test_dimension_mismatch(self):
         trie = PadicTrie(LearningParams(p=2, E=2, D=2, M=2), [(0, 0)])
         with pytest.raises(ValueError):
-            trie.nns_valuation((1,))
+            trie.nns_valuation_batch([(1,)])
         with pytest.raises(ValueError):
             trie.nns_valuation_batch(np.zeros((3, 1), dtype=np.int64))
