@@ -73,13 +73,17 @@ def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
     (-1)**(i - j) * C(i, j) mod p**E; afterwards entry l holds the
     coefficient of prod_d C(x_d, l_d).  The input grid is left untouched.
     """
-    params = grid.params
+    params, n = grid.params, grid.extent
     mod = params.modulus
-    n = grid.extent
     idx = np.arange(n)
     sign = 1 - 2 * (np.add.outer(idx, idx) % 2)
     inverse = (sign * binomial_table(params.p, params.E, n - 1, n - 1)) % mod
     return ResidueGrid(params, _contract(grid.data, [inverse] * params.D, mod))
+
+
+def _gather(table: np.ndarray, idx: np.ndarray, ext: int) -> np.ndarray:
+    """Rows idx of a k-major table's view, columns below ext, as C-ordered int64."""
+    return table.T[:ext].take(idx, axis=1).T.astype(np.int64, order="C")
 
 
 def _table_rows(coeffs: ResidueGrid, table: np.ndarray) -> int:
@@ -108,7 +112,7 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
             raise ValueError(f"each axis must be a 1-d array, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= bound):
             raise ValueError(f"axis values must lie in [0, {bound})")
-        rows.append(table[arr, : coeffs.extent])
+        rows.append(_gather(table, arr, coeffs.extent))
     return _contract(coeffs.data, rows, coeffs.params.modulus)
 
 
@@ -119,7 +123,7 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     one partial contraction of the coefficient grid, so the per-point
     work drops from L**D to L**(D-1).  Groups are contracted in blocks
     whose partials and gathered table rows together stay within
-    CHUNK_CELLS cells, and a long group in runs whose scratch arrays do.
+    CHUNK_CELLS cells, and points in runs whose scratch arrays do.
     """
     pts = as_points(points, coeffs.params.D, bound=_table_rows(coeffs, table))
     if pts.shape[0] == 0:
@@ -131,31 +135,40 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     uniq, starts = np.unique(spts[:, 0], return_index=True)
     run_bounds = np.append(starts, spts.shape[0])
     out = np.empty(pts.shape[0], dtype=np.int64)
-    # per group, a block holds a gathered table row and one partial
-    block = max(1, CHUNK_CELLS // (ext + ext ** (D - 1)))
-    # per point, a run holds a gathered table row and two successive partials
-    run = max(1, CHUNK_CELLS // (ext + ext ** max(0, D - 2) + ext ** max(0, D - 3)))
-    # one scratch block for every group's partial contraction
+    row = ext + (ext + 1) // 2  # a gathered table row: its int32 take and int64 copy
+    # per group, a block holds a gathered row and one partial, in one scratch block
+    block = max(1, CHUNK_CELLS // (row + ext ** (D - 1)))
     partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
+    # per point, beside those partials, a run holds a gathered row, an index
+    # and two successive partials (at D = 2 its group's partial row and value)
+    per_point = row + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
+    run = max(1, (CHUNK_CELLS - partials.size) // per_point)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]
-        partial = np.matmul(table[vs, :ext], flat, out=partials[: vs.size])
+        partial = np.matmul(_gather(table, vs, ext), flat, out=partials[: vs.size])
         partial %= mod
+        if D == 2:  # runs span the block's groups, one row product per point
+            end = run_bounds[b0 + vs.size]
+            for lo in range(run_bounds[b0], end, run):
+                seg = spts[lo : min(lo + run, end)]
+                grp = np.searchsorted(vs, seg[:, 0])
+                acc = np.einsum("ij,ij->i", _gather(table, seg[:, 1], ext), partial[grp])
+                out[order[lo : lo + len(seg)]] = acc % mod
+            continue
         for i in range(vs.size):
             beg, end = run_bounds[b0 + i], run_bounds[b0 + i + 1]
             if D == 1:
                 out[order[beg:end]] = partial[i, 0]
                 continue
             for lo in range(beg, end, run):
-                hi = min(lo + run, end)
-                seg = spts[lo:hi]
-                acc = table[seg[:, 1], :ext] @ partial[i].reshape(ext, -1)
+                seg = spts[lo : min(lo + run, end)]
+                acc = _gather(table, seg[:, 1], ext) @ partial[i].reshape(ext, -1)
                 acc %= mod
                 for d in range(2, D):
-                    acc = acc.reshape(seg.shape[0], ext, -1)
-                    acc = np.einsum("gl,glr->gr", table[seg[:, d], :ext], acc)
+                    acc = acc.reshape(len(seg), ext, -1)
+                    acc = np.einsum("gl,glr->gr", _gather(table, seg[:, d], ext), acc)
                     acc %= mod
-                out[order[lo:hi]] = acc.reshape(-1)
+                out[order[lo : lo + len(seg)]] = acc.reshape(-1)
     return out
 
 

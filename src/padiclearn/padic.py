@@ -17,13 +17,16 @@ MAX_MODULUS = 1 << 20  # p**E
 MAX_AXIS_EXTENT = 1 << 12  # per-axis grid bound M
 MAX_GRID_CELLS = 1 << 24  # M**D
 MAX_DIMENSION = 32  # D; numpy before 2.0 holds at most 32 axes per array
-MAX_TABLE_CELLS = 1 << 26  # entries of one binomial table
+MAX_TABLE_CELLS = 1 << 26  # entries of one binomial table, 256 MiB at 4 bytes
 
 # The exact contractions in mahler (the transform, grid and point
 # evaluation) sum at most MAX_AXIS_EXTENT products of two residues in int64
-# before reducing mod p**E.  Such a sum stays below 2**52, so none of them
-# can overflow.
-assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**63
+# before reducing mod p**E, and such a sum stays below 2**52.  A binomial
+# table holds int32 residues and builds each column as an int64 prefix sum
+# of at most MAX_TABLE_CELLS residues of the column before.
+assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**52
+assert MAX_MODULUS - 1 < 2**31
+assert MAX_TABLE_CELLS * (MAX_MODULUS - 1) < 2**63
 
 # value-grid fill, point evaluation and the task-2 and task-4 sweeps work
 # through scratch arrays of at most this many int64 cells
@@ -138,22 +141,21 @@ def as_points(values, D: int, bound: int | None = None) -> np.ndarray:
 
 
 def binomial_table(p: int, E: int, nmax: int, kmax: int) -> np.ndarray:
-    """The int64 table t[n, k] = C(n, k) mod p**E for all n <= nmax, k <= kmax.
+    """The table t[n, k] = C(n, k) mod p**E for all n <= nmax, k <= kmax.
 
-    Its rows satisfy the Pascal recurrence mod p**E and vanish for k > n.
+    Column k is the prefix sum C(n, k) = sum_{m<n} C(m, k-1) of column k - 1.
+    The columns are stored k-major as int32, and t is their transposed view.
     """
     _check_modulus(p, E)
     if nmax < 0 or kmax < 0:
         raise ValueError(f"table bounds must be non-negative, got {nmax}, {kmax}")
-    mod = p**E
-    if (nmax + 1) * (kmax + 1) > MAX_TABLE_CELLS:
-        raise ValueError(
-            f"table of {(nmax + 1) * (kmax + 1)} entries exceeds the "
-            f"supported size {MAX_TABLE_CELLS}"
-        )
-    data = np.zeros((nmax + 1, kmax + 1), dtype=np.int64)
-    data[:, 0] = 1
-    for n in range(1, nmax + 1):
-        # zero entries beyond the diagonal stay zero under the recurrence
-        data[n, 1:] = (data[n - 1, 1:] + data[n - 1, :-1]) % mod
-    return data
+    mod, cells = p**E, (nmax + 1) * (kmax + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"table of {cells} entries exceeds the supported size {MAX_TABLE_CELLS}")
+    data = np.zeros((kmax + 1, nmax + 1), dtype=np.int32)
+    data[0] = 1
+    col = np.empty(nmax, dtype=np.int64)  # the one column of int64 scratch
+    for k in range(1, kmax + 1):
+        col[:] = data[k - 1, :-1]
+        data[k, 1:] = np.remainder(np.cumsum(col, out=col), mod, out=col)
+    return data.T

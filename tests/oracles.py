@@ -56,3 +56,17 @@ def mahler_coeffs_1d(values, params) -> np.ndarray:
             acc += -term if (i - j) % 2 else term
         out[i] = acc % mod
     return out
+
+
+def pascal_table(modulus: int, nmax: int, kmax: int) -> np.ndarray:
+    """t[n, k] = C(n, k) mod modulus by the Pascal row recurrence, one row at a time.
+
+    The row-major int64 loop shares no code with the column prefix sums of
+    padic.binomial_table, which is what makes it the table's oracle.
+    """
+    data = np.zeros((nmax + 1, kmax + 1), dtype=np.int64)
+    data[:, 0] = 1
+    for n in range(1, nmax + 1):
+        # zero entries beyond the diagonal stay zero under the recurrence
+        data[n, 1:] = (data[n - 1, 1:] + data[n - 1, :-1]) % modulus
+    return data

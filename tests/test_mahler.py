@@ -332,6 +332,29 @@ class TestEvaluate:
         # the sorted points, order, group bounds and output add 0.38-0.45
         assert peak < 1.5 * 8 * budget
 
+    def test_d2_runs_span_groups_sharing_x0(self, monkeypatch):
+        # 4096 points over 64 first coordinates: a run crosses groups and
+        # gathers each point's partial row beside the block's partials
+        budget = 1 << 16
+        rng = np.random.default_rng(47)
+        params = LearningParams(p=2, E=12, D=2, M=64)
+        coeffs = ResidueGrid(params, rng.integers(0, 4096, (64, 64)))
+        table = binomial_table(2, 12, 4095, 63)
+        pts = rng.integers(0, 4096, size=(4096, 2))
+        pts[:, 0] = rng.integers(0, 64, size=4096)
+        want = evaluate_at_points(coeffs, pts, table)
+        for j in range(6):
+            assert want[j] == series_value(coeffs.data, pts[j], params.modulus)
+        monkeypatch.setattr(mahler, "CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            got = evaluate_at_points(coeffs, pts, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == want.tolist()
+        assert peak < 1.5 * 8 * budget
+
 
 # a well-formed header for p=2 E=3 D=2 M=2 L=2 with a placeholder digest
 DUMMY_HEAD = b"2 3 2 2 2 " + b"0" * 32 + b"\n"

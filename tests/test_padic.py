@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import valuation
+from oracles import pascal_table, valuation
 
 from padiclearn import padic
 from padiclearn.learner import SampleSet, learn
@@ -171,8 +172,29 @@ class TestBinomialTable:
         with pytest.raises(ValueError):
             binomial_table(2, 2, 1 << 14, 1 << 13)  # capacity
 
-    def test_plain_int64_array(self):
+    def test_long_columns_match_row_recurrence(self):
+        # the prefix sums of columns 2 and 3 pass 2**31 long before n = 3**12,
+        # so an int32 accumulator would wrap before the reduction
+        t = binomial_table(3, 12, 3**12 - 1, 3)
+        assert np.array_equal(t, pascal_table(3**12, 3**12 - 1, 3))
+
+    def test_k_major_int32_storage(self):
         t = binomial_table(2, 4, 8, 4)
         assert isinstance(t, np.ndarray)
-        assert t.dtype == np.int64
+        assert t.dtype == np.int32
         assert t.shape == (9, 5)
+        # t is the transposed view of one C-ordered (kmax + 1, nmax + 1) array
+        assert t.T.flags.c_contiguous
+        assert t.base is not None and t.base.shape == (5, 9)
+        assert np.array_equal(t, pascal_table(16, 8, 4))
+
+    def test_build_peaks_near_table_size(self):
+        tracemalloc.start()
+        try:
+            t = binomial_table(2, 16, 2**16 - 1, 15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 4-byte entries plus one int64 column of scratch; 8-byte entries fail
+        assert t.nbytes == 4 * t.size
+        assert peak < 1.25 * 4 * t.size
