@@ -7,12 +7,10 @@ every criterion also asserts, so a plain pytest run enforces the gate.
 import time
 
 import numpy as np
-import pytest
 from oracles import mahler_coeffs_1d, valuation
 
-from padiclearn.learner import SampleSet, learn
 from padiclearn.mahler import ResidueGrid, evaluate_on_grid, mahler_transform
-from padiclearn.nim import BENCHMARK_PARAMS, generate_p_positions, run_task, trivial_baseline
+from padiclearn.nim import generate_p_positions, run_task, trivial_baseline
 from padiclearn.padic import LearningParams, binomial_table
 from padiclearn.trie import PadicTrie
 
@@ -20,12 +18,6 @@ from padiclearn.trie import PadicTrie
 def verdict(num, ok, detail):
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {num:02d}: {detail}"
-
-
-@pytest.fixture(scope="session")
-def benchmark_estimate():
-    samples = SampleSet(BENCHMARK_PARAMS, generate_p_positions(3, 100))
-    return learn(samples)
 
 
 def test_c01_exact_sample_count():

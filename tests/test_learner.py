@@ -1,8 +1,9 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
-from oracles import series_value
+from oracles import mahler_coeffs_1d, series_value, valuation
 
 from padiclearn.learner import (
     DefiningFunctionEstimate,
@@ -184,6 +185,44 @@ class TestPredict:
         params = LearningParams(p=2, E=2, D=1, M=2)
         est = learn(SampleSet(params, [(0,)]))
         assert est.predict_residue_batch(np.empty((0, 1), dtype=np.int64)).size == 0
+
+
+def oracle_window(params, samples) -> np.ndarray:
+    """The expected L**D coefficient window, from tests/oracles.py alone.
+
+    Every node of [0, M)**D gets p**v with v the best brute-force valuation
+    any sample achieves against it, each axis is transformed by the 1-d
+    closed form, and the [0, L)**D window is kept.
+    """
+    p, E, D, M, L = params.p, params.E, params.D, params.M, params.L
+    grid = np.empty((M,) * D, dtype=np.int64)
+    for node in np.ndindex(grid.shape):
+        v = max(min(valuation(x - int(s), p, E) for x, s in zip(node, row)) for row in samples)
+        grid[node] = pow(p, v, p**E)
+    for axis in range(D):
+        grid = np.apply_along_axis(mahler_coeffs_1d, axis, grid, params)
+    return grid[(slice(0, L),) * D]
+
+
+def test_end_to_end_matches_oracle():
+    # learn, batch and grid queries against the oracle window and series_value
+    rng = np.random.default_rng(36)
+    for _ in range(300):
+        p = int(rng.choice([2, 3, 5]))
+        E = int(rng.integers(1, 7 if p == 2 else 4))
+        D = int(rng.integers(1, 4))
+        M = int(rng.integers(1, 7))
+        params = LearningParams(p=p, E=E, D=D, M=M, L=int(rng.integers(1, M + 1)))
+        samples = rng.integers(0, M, size=(int(rng.integers(1, 6)), D))
+        want = oracle_window(params, samples)
+        est = learn(SampleSet(params, samples))
+        assert np.array_equal(est.coeffs.data, want)
+        mod = p**E
+        pts = rng.integers(0, mod, size=(6, D))
+        assert est.predict_residue_batch(pts).tolist() == [series_value(want, x, mod) for x in pts]
+        axes = [rng.integers(0, mod, size=3) for _ in range(D)]
+        grid = [series_value(want, x, mod) for x in itertools.product(*axes)]
+        assert est.predict_residue_grid(axes).reshape(-1).tolist() == grid
 
 
 class TestPersistence:
