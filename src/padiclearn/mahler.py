@@ -8,8 +8,8 @@ the inverse binomial matrix of the 1-d closed form
     c_i = sum_{j <= i} (-1)**(i - j) * C(i, j) * f(j)   (mod p**E),
 
 and a coefficient grid is evaluated by contracting every axis with the
-binomial-table rows of the query coordinates.  This module is the only
-place that gathers table rows, multiplies and reduces mod p**E.
+binomial-table rows of the query coordinates.  Table rows are gathered
+only here, and residue products are summed mod p**E only in _mulmod.
 """
 
 from __future__ import annotations
@@ -52,17 +52,26 @@ class ResidueGrid:
         return self.data.shape[0]
 
 
+def _mulmod(a: np.ndarray, b: np.ndarray, mod: int, out=None) -> np.ndarray:
+    """a @ b reduced mod `mod`, into out when given; the one place residues multiply.
+
+    Residue operands and a contracted extent of at most MAX_AXIS_EXTENT keep
+    every int64 sum below 2**52, by the bound asserted next to the caps in padic.py.
+    """
+    out = np.matmul(a, b, out=out)
+    out %= mod
+    return out
+
+
 def _contract(data: np.ndarray, mats, mod: int) -> np.ndarray:
     """Contract axis d of data with mats[d] (out x in), reducing mod `mod`.
 
     Each round contracts the leading axis and appends the result axis, so
-    after all D rounds the axes are back in order.  The exactness bound
-    next to the caps in padic.py keeps every int64 sum below 2**52.
+    after all D rounds the axes are back in order.
     """
     acc = data
     for mat in mats:
-        acc = np.tensordot(acc, mat, axes=([0], [1]))
-        acc %= mod
+        acc = _mulmod(acc.reshape(len(acc), -1).T, mat.T, mod).reshape(acc.shape[1:] + (len(mat),))
     return acc
 
 
@@ -76,8 +85,8 @@ def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
     params, n = grid.params, grid.extent
     mod = params.modulus
     idx = np.arange(n)
-    sign = 1 - 2 * (np.add.outer(idx, idx) % 2)
-    inverse = (sign * binomial_table(params.p, params.E, n - 1, n - 1)) % mod
+    table = binomial_table(params.p, params.E, n - 1, n - 1).astype(np.int64)
+    inverse = np.where(np.add.outer(idx, idx) % 2, -table, table) % mod
     return ResidueGrid(params, _contract(grid.data, [inverse] * params.D, mod))
 
 
@@ -123,7 +132,9 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     one partial contraction of the coefficient grid, so the per-point
     work drops from L**D to L**(D-1).  Groups are contracted in blocks
     whose partials and gathered table rows together stay within
-    CHUNK_CELLS cells, and points in runs whose scratch arrays do.
+    CHUNK_CELLS cells, and points in runs whose scratch arrays do.  At
+    D <= 2 a run spans its block's groups, each point with its own partial
+    row; at D >= 3 a run stays in one group and shares its partial.
     """
     pts = as_points(points, coeffs.params.D, bound=_table_rows(coeffs, table))
     if pts.shape[0] == 0:
@@ -140,34 +151,22 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     block = max(1, CHUNK_CELLS // (row + ext ** (D - 1)))
     partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
     # per point, beside those partials, a run holds a gathered row, an index
-    # and two successive partials (at D = 2 its group's partial row and value)
+    # and two successive partials (at D <= 2 its partial row and value)
     per_point = row + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
     run = max(1, (CHUNK_CELLS - partials.size) // per_point)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]
-        partial = np.matmul(_gather(table, vs, ext), flat, out=partials[: vs.size])
-        partial %= mod
-        if D == 2:  # runs span the block's groups, one row product per point
-            end = run_bounds[b0 + vs.size]
-            for lo in range(run_bounds[b0], end, run):
-                seg = spts[lo : min(lo + run, end)]
-                grp = np.searchsorted(vs, seg[:, 0])
-                acc = np.einsum("ij,ij->i", _gather(table, seg[:, 1], ext), partial[grp])
-                out[order[lo : lo + len(seg)]] = acc % mod
-            continue
-        for i in range(vs.size):
-            beg, end = run_bounds[b0 + i], run_bounds[b0 + i + 1]
-            if D == 1:
-                out[order[beg:end]] = partial[i, 0]
-                continue
+        partial = _mulmod(_gather(table, vs, ext), flat, mod, out=partials[: vs.size])
+        bounds = run_bounds[b0 : b0 + vs.size + 1]
+        spans = [(bounds[0], bounds[-1])] if D <= 2 else zip(bounds[:-1], bounds[1:])
+        for beg, end in spans:
             for lo in range(beg, end, run):
                 seg = spts[lo : min(lo + run, end)]
-                acc = _gather(table, seg[:, 1], ext) @ partial[i].reshape(ext, -1)
-                acc %= mod
-                for d in range(2, D):
-                    acc = acc.reshape(len(seg), ext, -1)
-                    acc = np.einsum("gl,glr->gr", _gather(table, seg[:, d], ext), acc)
-                    acc %= mod
+                grp = np.searchsorted(vs, seg[:, 0])
+                acc = partial[grp] if D <= 2 else partial[grp[0] : grp[0] + 1]
+                for d in range(1, D):
+                    acc = acc.reshape(len(acc), ext, -1)
+                    acc = _mulmod(_gather(table, seg[:, d], ext)[:, None], acc, mod)
                 out[order[lo : lo + len(seg)]] = acc.reshape(-1)
     return out
 

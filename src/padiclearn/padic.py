@@ -19,17 +19,17 @@ MAX_GRID_CELLS = 1 << 24  # M**D
 MAX_DIMENSION = 32  # D; numpy before 2.0 holds at most 32 axes per array
 MAX_TABLE_CELLS = 1 << 26  # entries of one binomial table, 256 MiB at 4 bytes
 
-# The exact contractions in mahler (the transform, grid and point
-# evaluation) sum at most MAX_AXIS_EXTENT products of two residues in int64
-# before reducing mod p**E, and such a sum stays below 2**52.  A binomial
+# mahler._mulmod, where the transform and both evaluators form every sum,
+# adds at most MAX_AXIS_EXTENT products of two residues in int64 before
+# reducing mod p**E, and such a sum stays below 2**52.  A binomial
 # table holds int32 residues and builds each column as an int64 prefix sum
 # of at most MAX_TABLE_CELLS residues of the column before.
 assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**52
 assert MAX_MODULUS - 1 < 2**31
 assert MAX_TABLE_CELLS * (MAX_MODULUS - 1) < 2**63
 
-# value-grid fill, point evaluation and the task-2 and task-4 sweeps work
-# through scratch arrays of at most this many int64 cells
+# point evaluation and the task-2 and task-4 sweeps keep scratch within this many int64
+# cells; a value-grid fill step counts only D of the ~3D + ED/8 + 8 cells each node holds
 CHUNK_CELLS = 1 << 22
 
 

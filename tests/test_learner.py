@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import mahler_coeffs_1d, series_value, valuation
 
+from padiclearn import mahler
 from padiclearn.learner import (
     DefiningFunctionEstimate,
     SampleSet,
@@ -13,7 +14,8 @@ from padiclearn.learner import (
     read_coefficient_rows,
     write_coefficient_rows,
 )
-from padiclearn.padic import LearningParams
+from padiclearn.nim import BENCHMARK_PARAMS, generate_p_positions
+from padiclearn.padic import MAX_AXIS_EXTENT, LearningParams
 from padiclearn.trie import PadicTrie
 
 
@@ -223,6 +225,40 @@ def test_end_to_end_matches_oracle():
         axes = [rng.integers(0, mod, size=3) for _ in range(D)]
         grid = [series_value(want, x, mod) for x in itertools.product(*axes)]
         assert est.predict_residue_grid(axes).reshape(-1).tolist() == grid
+
+
+@pytest.mark.parametrize("stock", [False, True], ids=["random", "stock"])
+def test_mulmod_premise(monkeypatch, stock):
+    # every product has residue operands and a contracted extent within
+    # MAX_AXIS_EXTENT: the premise of the 2**52 bound asserted in padic.py
+    rng = np.random.default_rng(37)
+    configs = [(BENCHMARK_PARAMS, generate_p_positions(3, 100))] if stock else []
+    for _ in range(0 if stock else 40):
+        D, M = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        p, E, L = int(rng.choice([2, 3, 5])), int(rng.integers(1, 5)), int(rng.integers(1, M + 1))
+        samples = rng.integers(0, M, size=(int(rng.integers(1, 9)), D))
+        configs.append((LearningParams(p, E, D, M, L), samples))
+    calls = []
+    real = mahler._mulmod
+
+    def checked(a, b, mod, out=None):
+        assert mod == params.modulus  # the config under test, set below
+        assert a.shape[-1] == b.shape[-2] <= MAX_AXIS_EXTENT
+        for x in (a, b):
+            assert 0 <= x.min() and x.max() < mod
+        calls.append(a.shape[-1])
+        return real(a, b, mod, out)
+
+    monkeypatch.setattr(mahler, "_mulmod", checked)
+    for params, samples in configs:
+        mod = params.modulus
+        est = learn(SampleSet(params, samples))
+        fit_calls = len(calls)
+        est.predict_residue_batch(rng.integers(0, mod, size=(300, params.D)))
+        batch_calls = len(calls)
+        est.predict_residue_grid([rng.integers(0, mod, size=5)] * params.D)
+        assert 0 < fit_calls < batch_calls < len(calls)
+        calls.clear()
 
 
 class TestPersistence:

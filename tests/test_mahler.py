@@ -332,15 +332,16 @@ class TestEvaluate:
         # the sorted points, order, group bounds and output add 0.38-0.45
         assert peak < 1.5 * 8 * budget
 
-    def test_d2_runs_span_groups_sharing_x0(self, monkeypatch):
+    @pytest.mark.parametrize("D", [1, 2])
+    def test_runs_span_groups_sharing_x0(self, monkeypatch, D):
         # 4096 points over 64 first coordinates: a run crosses groups and
-        # gathers each point's partial row beside the block's partials
+        # copies out each point's partial row beside the block's partials
         budget = 1 << 16
         rng = np.random.default_rng(47)
-        params = LearningParams(p=2, E=12, D=2, M=64)
-        coeffs = ResidueGrid(params, rng.integers(0, 4096, (64, 64)))
+        params = LearningParams(p=2, E=12, D=D, M=64)
+        coeffs = ResidueGrid(params, rng.integers(0, 4096, (64,) * D))
         table = binomial_table(2, 12, 4095, 63)
-        pts = rng.integers(0, 4096, size=(4096, 2))
+        pts = rng.integers(0, 4096, size=(4096, D))
         pts[:, 0] = rng.integers(0, 64, size=4096)
         want = evaluate_at_points(coeffs, pts, table)
         for j in range(6):
