@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mahler import (
-    ResidueGrid,
-    evaluate_at_points,
-    evaluate_on_grid,
-    mahler_transform,
-)
+from .mahler import ResidueGrid, evaluate_at_points, evaluate_on_grid, mahler_transform
 from .padic import CHUNK_CELLS, LearningParams, as_points, binomial_table
 from .trie import PadicTrie
 
@@ -126,11 +121,6 @@ class DefiningFunctionEstimate:
 # perfbench/tracer.py times the format by their names.
 
 
-def _body_dtype(params: LearningParams) -> np.dtype:
-    """The smallest unsigned little-endian dtype that holds p**E - 1."""
-    return np.min_scalar_type(params.modulus - 1).newbyteorder("<")
-
-
 def _digest(fields: bytes, body: bytes) -> bytes:
     return hashlib.blake2b(fields + b"\n" + body, digest_size=16).hexdigest().encode()
 
@@ -138,11 +128,11 @@ def _digest(fields: bytes, body: bytes) -> bytes:
 def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     """Write the text line `p E D M L <digest>`, then the L**D window.
 
-    The window goes in row-major order as little-endian _body_dtype bytes;
+    The window goes in row-major order as little-endian params.residue_dtype bytes;
     the digest is a hex blake2b over the five header fields and the body.
     """
     fields = f"{params.p} {params.E} {params.D} {params.M} {params.L}".encode()
-    body = window.astype(_body_dtype(params)).tobytes()
+    body = window.astype(params.residue_dtype).tobytes()
     fh.write(fields + b" " + _digest(fields, body) + b"\n" + body)
 
 
@@ -160,7 +150,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         params = LearningParams(*(int(tok) for tok in head[:5]))
     except ValueError as exc:
         raise ValueError(f"bad model header {line!r}: {exc}") from exc
-    dtype = _body_dtype(params)
+    dtype = params.residue_dtype
     size = params.L**params.D * dtype.itemsize
     body = fh.read(size + 1)
     if len(body) != size:

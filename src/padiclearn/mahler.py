@@ -14,11 +14,13 @@ only here, and residue products are summed mod p**E only in _mulmod.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .padic import CHUNK_CELLS, LearningParams, as_coordinates, as_points, binomial_table
+from . import padic
+from .padic import LearningParams, as_coordinates, as_points, binomial_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,15 +65,18 @@ def _mulmod(a: np.ndarray, b: np.ndarray, mod: int, out=None) -> np.ndarray:
     return out
 
 
-def _contract(data: np.ndarray, mats, mod: int) -> np.ndarray:
+def _contract(data: np.ndarray, mats, mod: int, buf=None) -> np.ndarray:
     """Contract axis d of data with mats[d] (out x in), reducing mod `mod`.
 
     Each round contracts the leading axis and appends the result axis, so
-    after all D rounds the axes are back in order.
+    after all D rounds the axes are back in order, the last in int64 buf if given.
     """
     acc = data
-    for mat in mats:
-        acc = _mulmod(acc.reshape(len(acc), -1).T, mat.T, mod).reshape(acc.shape[1:] + (len(mat),))
+    for i, mat in enumerate(mats):
+        a = acc.reshape(len(acc), -1).T
+        last = buf is not None and i == len(mats) - 1
+        out = buf[: len(a) * len(mat)].reshape(len(a), len(mat)) if last else None
+        acc = _mulmod(a, mat.T, mod, out=out).reshape(acc.shape[1:] + (len(mat),))
     return acc
 
 
@@ -107,13 +112,15 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
     """Truncated-series values over a product grid of query coordinates.
 
     axes is a D-sequence of 1-d integer arrays; the result has shape
-    (len(axes[0]), ..., len(axes[D-1])).  One tensor contraction per axis
-    replaces the per-point sum, which is what makes exhaustive plane
-    sweeps affordable.
+    (len(axes[0]), ..., len(axes[D-1])) and dtype params.residue_dtype.  One
+    tensor contraction per axis replaces the per-point sum.  The axes below
+    a slab axis s are contracted once, into a head; the rest run in slabs
+    along s, each ending in one reused int64 buffer; chunk_ranges picks s.
     """
+    params, ext, D = coeffs.params, coeffs.extent, coeffs.params.D
     bound = _table_rows(coeffs, table)
-    if len(axes) != coeffs.params.D:
-        raise ValueError(f"got {len(axes)} axes, expected D = {coeffs.params.D}")
+    if len(axes) != D:
+        raise ValueError(f"got {len(axes)} axes, expected D = {D}")
     rows = []
     for a in axes:
         arr = as_coordinates(a)
@@ -121,8 +128,22 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
             raise ValueError(f"each axis must be a 1-d array, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= bound):
             raise ValueError(f"axis values must lie in [0, {bound})")
-        rows.append(_gather(table, arr, coeffs.extent))
-    return _contract(coeffs.data, rows, coeffs.params.modulus)
+        rows.append(_gather(table, arr, ext))
+    sides = [len(r) for r in rows]
+    out = np.empty(sides, dtype=params.residue_dtype)
+    if out.size == 0:
+        return out
+    # cells after each contraction round: at slab axis s the head, round s - 1, stays
+    # for the sweep and each index of axis s carries its share of the later rounds
+    cells = [0] + [ext ** (D - 1 - d) * math.prod(sides[: d + 1]) for d in range(D)]
+    levels = [(cells[s], sides[s], sum(cells[s + 1 :]) // sides[s]) for s in range(D)]
+    s, slabs = padic.chunk_ranges(levels, "grid slab")
+    head = _contract(coeffs.data, rows[:s], params.modulus)
+    buf = np.empty(slabs[0][1] * (out.size // sides[s]), dtype=np.int64)
+    for lo, hi in slabs:
+        mats = [rows[s][lo:hi]] + rows[s + 1 :]
+        out[(slice(None),) * s + (slice(lo, hi),)] = _contract(head, mats, params.modulus, buf)
+    return out
 
 
 def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.ndarray:
@@ -137,23 +158,21 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     row; at D >= 3 a run stays in one group and shares its partial.
     """
     pts = as_points(points, coeffs.params.D, bound=_table_rows(coeffs, table))
-    if pts.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
     mod, ext, D = coeffs.params.modulus, coeffs.extent, coeffs.params.D
     flat = coeffs.data.reshape(ext, -1)
     order = np.argsort(pts[:, 0], kind="stable")
     spts = pts[order]
     uniq, starts = np.unique(spts[:, 0], return_index=True)
     run_bounds = np.append(starts, spts.shape[0])
-    out = np.empty(pts.shape[0], dtype=np.int64)
+    out = np.empty(pts.shape[0], dtype=coeffs.params.residue_dtype)
     row = ext + (ext + 1) // 2  # a gathered table row: its int32 take and int64 copy
     # per group, a block holds a gathered row and one partial, in one scratch block
-    block = max(1, CHUNK_CELLS // (row + ext ** (D - 1)))
+    block = max(1, padic.CHUNK_CELLS // (row + ext ** (D - 1)))
     partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
     # per point, beside those partials, a run holds a gathered row, an index
     # and two successive partials (at D <= 2 its partial row and value)
     per_point = row + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
-    run = max(1, (CHUNK_CELLS - partials.size) // per_point)
+    run = max(1, (padic.CHUNK_CELLS - partials.size) // per_point)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]
         partial = _mulmod(_gather(table, vs, ext), flat, mod, out=partials[: vs.size])

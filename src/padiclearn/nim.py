@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .learner import DefiningFunctionEstimate
-from .padic import CHUNK_CELLS, MAX_GRID_CELLS, LearningParams, as_coordinates
+from .padic import MAX_GRID_CELLS, LearningParams, as_coordinates, chunk_ranges
 
 BENCHMARK_PARAMS = LearningParams(p=2, E=10, D=3, M=100)
 
@@ -135,18 +135,6 @@ def _xor_grid(axes) -> np.ndarray:
     return acc
 
 
-def _slabs(task: int, rows: int, row_cells: int) -> list[tuple[int, int]]:
-    """[lo, hi) ranges that cut rows of row_cells cells into slabs of <= CHUNK_CELLS cells.
-
-    Task 2 cuts the x0 = 0 plane along x1, task 4 its points along x0.
-    """
-    if row_cells > CHUNK_CELLS:
-        hint = "; run task 2 with --mode subsample instead" if task == 2 else ""
-        raise ValueError(f"one task {task} slab holds {row_cells} cells, over {CHUNK_CELLS}{hint}")
-    step = CHUNK_CELLS // row_cells
-    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-
 def _p_positions_x0(D: int, lo: int, hi: int, bound: int) -> np.ndarray:
     """Zero-XOR points of [lo, hi) x [0, bound)**(D-1); a power-of-two bound keeps every XOR."""
     pts = generate_p_positions(D, (hi - lo,) + (bound,) * (D - 1))
@@ -178,11 +166,10 @@ def run_task(
     exhaustive and ignore `trials` and `seed`.  Exhaustive task 2 sweeps
     the plane in x_1 slabs and task 4 its points in x_0 slabs, each of at
     most CHUNK_CELLS cells, and both raise ValueError when one slab alone
-    is too large; task 2 alternatively runs
-    with mode="subsample", which grades a stratified random subset of the
-    plane (sample_size points spread evenly over the x_1 strata, remaining
-    coordinates uniform) and attaches a 95% Wilson interval to the
-    measured success rate.
+    is too large; task 2 alternatively runs with mode="subsample", which
+    grades a stratified random subset of the plane (sample_size points
+    spread evenly over the x_1 strata, remaining coordinates uniform) and
+    attaches a 95% Wilson interval to the measured success rate.
     """
     P = est.params
     _check_task(task, P)
@@ -195,8 +182,9 @@ def run_task(
 
     if task == 2 and mode == "exhaustive":
         failures = 0
-        for lo, hi in _slabs(2, bound if P.D > 1 else 1, bound ** max(P.D - 2, 0)):
-            # D = 1 keeps only the x0 axis
+        level = (0, bound if P.D > 1 else 1, bound ** max(P.D - 2, 0))  # D = 1 keeps only x0
+        hint = "; run task 2 with --mode subsample instead"
+        for lo, hi in chunk_ranges([level], "task 2 slab", hint)[1]:
             axes = ([np.array([0]), np.arange(lo, hi)] + [np.arange(bound)] * (P.D - 2))[: P.D]
             residues = est.predict_residue_grid(axes)
             failures += int(np.count_nonzero((residues == 0) != (_xor_grid(axes) == 0)))
@@ -226,7 +214,8 @@ def run_task(
             rep_seed, rep_mode = seed, "random"
         else:
             # cells of an x0 slab are the coordinates of its points
-            slabs = _slabs(4, 64 if P.D > 1 else 1, P.D * bound ** max(P.D - 2, 0))
+            level = (0, 64 if P.D > 1 else 1, P.D * bound ** max(P.D - 2, 0))
+            slabs = chunk_ranges([level], "task 4 slab")[1]
             chunks = (_p_positions_x0(P.D, lo, hi, bound) for lo, hi in slabs)
             rep_seed, rep_mode = None, "exhaustive"
         # tasks 3 and 4 query members only, so every failure there is a miss

@@ -28,8 +28,8 @@ assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**52
 assert MAX_MODULUS - 1 < 2**31
 assert MAX_TABLE_CELLS * (MAX_MODULUS - 1) < 2**63
 
-# point evaluation and the task-2 and task-4 sweeps keep scratch within this many int64
-# cells; a value-grid fill step counts only D of the ~3D + ED/8 + 8 cells each node holds
+# point evaluation, grid slabs and the task-2 and task-4 sweeps keep scratch within this many
+# int64 cells; a value-grid fill step counts only D of the ~3D + ED/8 + 8 cells a node holds
 CHUNK_CELLS = 1 << 22
 
 
@@ -109,6 +109,25 @@ class LearningParams:
     @property
     def modulus(self) -> int:
         return self.p**self.E
+
+    @property
+    def residue_dtype(self) -> np.dtype:
+        """The smallest unsigned little-endian dtype that holds p**E - 1."""
+        return np.min_scalar_type(self.modulus - 1).newbyteorder("<")
+
+
+def chunk_ranges(levels, what: str, hint: str = "") -> tuple[int, list[tuple[int, int]]]:
+    """The first level whose one row fits within CHUNK_CELLS, and its [lo, hi) slabs.
+
+    A level (held, rows, row_cells) cuts rows of row_cells cells into slabs that fit
+    beside `held` cells kept for the whole sweep; else ValueError names `what`, then `hint`.
+    """
+    for i, (held, rows, row_cells) in enumerate(levels):
+        if held + row_cells <= CHUNK_CELLS:
+            step = (CHUNK_CELLS - held) // row_cells
+            return i, [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+    least = min(held + row_cells for held, _, row_cells in levels)
+    raise ValueError(f"one {what} holds {least} cells, over {CHUNK_CELLS}{hint}")
 
 
 def as_coordinates(values) -> np.ndarray:

@@ -329,6 +329,13 @@ class TestPersistence:
         assert body == est.coeffs.data.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
         assert len(body) == 9 * np.dtype(dtype).itemsize
         assert np.array_equal(DefiningFunctionEstimate.load(path).coeffs.data, est.coeffs.data)
+        # batch and grid residues come in the same dtype; a scalar stays a Python int
+        pts = np.array([[0, 1], [5, 7]])
+        batch = est.predict_residue_batch(pts)
+        grid = est.predict_residue_grid([np.array([0, 5]), np.array([1, 7])])
+        assert batch.dtype == grid.dtype == dtype
+        assert batch.tolist() == [est.predict_residue(x) for x in pts] == np.diag(grid).tolist()
+        assert type(est.predict_residue((5, 7))) is int
 
     def _saved(self, tmp_path):
         params = LearningParams(p=2, E=4, D=2, M=4)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import mahler_coeffs_1d, series_value
 
-from padiclearn import mahler
+from padiclearn import mahler, padic
 from padiclearn.learner import read_coefficient_rows, write_coefficient_rows
 from padiclearn.mahler import (
     ResidueGrid,
@@ -261,7 +261,7 @@ class TestEvaluate:
             pts = rng.integers(0, 1024, size=(60, D))
             pts[:40, 0] = 7
             cases.append((coeffs, pts, evaluate_at_points(coeffs, pts, table)))
-        monkeypatch.setattr(mahler, "CHUNK_CELLS", 40)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 40)
         for coeffs, pts, want in cases:
             assert evaluate_at_points(coeffs, pts, table).tolist() == want.tolist()
 
@@ -274,7 +274,7 @@ class TestEvaluate:
         table = binomial_table(2, 10, 1023, 15)
         pts = rng.integers(0, 1024, size=(8192, 4))
         pts[:, 0] = 0
-        monkeypatch.setattr(mahler, "CHUNK_CELLS", 1 << 14)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 1 << 14)
         tracemalloc.start()
         try:
             evaluate_at_points(coeffs, pts, table)
@@ -297,7 +297,7 @@ class TestEvaluate:
         pts = rng.integers(0, 1024, size=(budget // 32, D))
         pts[:, 0] = 5
         want = evaluate_at_points(coeffs, pts, table)
-        monkeypatch.setattr(mahler, "CHUNK_CELLS", budget)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
         tracemalloc.start()
         try:
             got = evaluate_at_points(coeffs, pts, table)
@@ -321,7 +321,7 @@ class TestEvaluate:
         pts = rng.integers(0, 4096, size=(4096, D))
         pts[:, 0] = rng.permutation(4096)
         want = evaluate_at_points(coeffs, pts, table)
-        monkeypatch.setattr(mahler, "CHUNK_CELLS", budget)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
         tracemalloc.start()
         try:
             got = evaluate_at_points(coeffs, pts, table)
@@ -346,7 +346,7 @@ class TestEvaluate:
         want = evaluate_at_points(coeffs, pts, table)
         for j in range(6):
             assert want[j] == series_value(coeffs.data, pts[j], params.modulus)
-        monkeypatch.setattr(mahler, "CHUNK_CELLS", budget)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
         tracemalloc.start()
         try:
             got = evaluate_at_points(coeffs, pts, table)
@@ -355,6 +355,37 @@ class TestEvaluate:
             tracemalloc.stop()
         assert got.tolist() == want.tolist()
         assert peak < 1.5 * 8 * budget
+
+    @pytest.mark.parametrize(
+        "E, L, sides, budget",
+        [(6, 8, (1, 64, 64, 64, 64), 1 << 19), (10, 32, (64, 64, 1), 1 << 14)],
+        ids=["one-long-last-round", "head-over-budget"],
+    )
+    def test_grid_slabs_share_the_budget(self, monkeypatch, E, L, sides, budget):
+        # the length-1 first axis leaves a 64**4-cell last round over a
+        # 2**21-cell head, and the 64 x 64 head of the second case is 8x the
+        # budget: in one piece both would hold many budgets of int64 scratch
+        rng = np.random.default_rng(48)
+        D, mod = len(sides), 2**E
+        params = LearningParams(p=2, E=E, D=D, M=L)
+        coeffs = ResidueGrid(params, rng.integers(0, mod, (L,) * D))
+        table = binomial_table(2, E, mod - 1, L - 1)
+        axes = [rng.integers(0, mod, size=n) for n in sides]
+        want = evaluate_on_grid(coeffs, axes, table)
+        for j in range(3):
+            idx = tuple(rng.integers(0, n) for n in sides)
+            pt = [a[i] for a, i in zip(axes, idx)]
+            assert want[idx] == series_value(coeffs.data, pt, mod)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            got = evaluate_on_grid(coeffs, axes, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < got.nbytes + 1.5 * 8 * budget
+        assert got.dtype == params.residue_dtype
 
 
 # a well-formed header for p=2 E=3 D=2 M=2 L=2 with a placeholder digest

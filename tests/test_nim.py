@@ -3,18 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from padiclearn import nim
+from padiclearn import nim, padic
 from padiclearn.learner import SampleSet, learn
 from padiclearn.nim import (
     BENCHMARK_PARAMS,
     BenchmarkReport,
-    _slabs,
     generate_p_positions,
     run_task,
     sample_p_positions,
     trivial_baseline,
 )
-from padiclearn.padic import LearningParams
+from padiclearn.padic import LearningParams, chunk_ranges
 
 
 @pytest.fixture(scope="module")
@@ -164,33 +163,32 @@ class TestRunTask(object):
         assert r2.failures == int(np.count_nonzero(member != truth))
 
     def test_plane_slab_planner(self, monkeypatch):
-        monkeypatch.setattr(nim, "CHUNK_CELLS", 1 << 22)
+        def slabs(rows, row_cells):
+            return chunk_ranges([(0, rows, row_cells)], "task 2 slab")[1]
+
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 1 << 22)
         # task 2 at E=10: one x1 row of the plane holds 1024**(D-2) cells; D=1 is one row
-        assert _slabs(2, 1, 1) == [(0, 1)]
-        assert _slabs(2, 1024, 1) == [(0, 1024)]
-        assert _slabs(2, 1024, 1024) == [(0, 1024)]
+        assert slabs(1, 1) == [(0, 1)]
+        assert slabs(1024, 1) == [(0, 1024)]
+        assert slabs(1024, 1024) == [(0, 1024)]
         # D=4 at E=10: 2**20 cells per x1 value, four x1 values per slab
-        slabs = _slabs(2, 1024, 1 << 20)
-        assert len(slabs) == 256 and slabs[0] == (0, 4) and slabs[-1] == (1020, 1024)
-        with pytest.raises(ValueError, match="subsample"):
-            _slabs(2, 1024, 1 << 30)
+        got = slabs(1024, 1 << 20)
+        assert len(got) == 256 and got[0] == (0, 4) and got[-1] == (1020, 1024)
+        with pytest.raises(ValueError, match="one task 2 slab holds 1073741824 cells"):
+            slabs(1024, 1 << 30)
         # uneven split: slabs tile [0, rows) in order, none over the cap
-        monkeypatch.setattr(nim, "CHUNK_CELLS", 64 * 5)
-        slabs = _slabs(2, 64, 64)
-        assert slabs[0][0] == 0 and slabs[-1] == (60, 64)
-        assert all(a[1] == b[0] for a, b in zip(slabs, slabs[1:]))
-        assert all(0 < (hi - lo) * 64 <= 64 * 5 for lo, hi in slabs)
-        with pytest.raises(ValueError, match="subsample"):
-            _slabs(2, 64, 64 * 5 + 1)
-        # task 4 has no subsample mode to point at
-        with pytest.raises(ValueError, match="one task 4 slab holds 321 cells") as info:
-            _slabs(4, 64, 64 * 5 + 1)
-        assert "subsample" not in str(info.value)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 64 * 5)
+        got = slabs(64, 64)
+        assert got[0][0] == 0 and got[-1] == (60, 64)
+        assert all(a[1] == b[0] for a, b in zip(got, got[1:]))
+        assert all(0 < (hi - lo) * 64 <= 64 * 5 for lo, hi in got)
+        with pytest.raises(ValueError, match="one task 2 slab holds 321 cells, over 320"):
+            slabs(64, 64 * 5 + 1)
 
     def test_task2_slabs_match_one_sweep(self, small_estimate, monkeypatch):
         whole = run_task(small_estimate, 2)
-        monkeypatch.setattr(nim, "CHUNK_CELLS", 64 * 5)
-        assert len(_slabs(2, 64, 64)) == 13
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 64 * 5)
+        assert len(chunk_ranges([(0, 64, 64)], "task 2 slab")[1]) == 13
         sliced = run_task(small_estimate, 2)
         assert sliced.failures == whole.failures and sliced.trials == whole.trials
 
@@ -198,7 +196,7 @@ class TestRunTask(object):
         # E=6, D=3: 64 x0 rows of 64 points, 3 coordinates each; 16 rows per slab
         whole = run_task(small_estimate, 4)
         budget = 3 * 64 * 16
-        monkeypatch.setattr(nim, "CHUNK_CELLS", budget)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
         tracemalloc.start()
         try:
             sliced = run_task(small_estimate, 4)
@@ -211,9 +209,11 @@ class TestRunTask(object):
         assert peak < 8 * budget * 8
 
     def test_task4_oversized_slab_rejected(self, small_estimate, monkeypatch):
-        monkeypatch.setattr(nim, "CHUNK_CELLS", 3 * 64 - 1)
-        with pytest.raises(ValueError, match="one task 4 slab holds 192 cells"):
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 3 * 64 - 1)
+        with pytest.raises(ValueError, match="one task 4 slab holds 192 cells") as info:
             run_task(small_estimate, 4)
+        # task 4 has no subsample mode to point at
+        assert "subsample" not in str(info.value)
 
     @pytest.mark.parametrize("D", [1, 2])
     def test_task4_low_dimensions_keep_their_points(self, D, monkeypatch):
@@ -221,7 +221,7 @@ class TestRunTask(object):
         est = learn(SampleSet(params, generate_p_positions(D, 4)))
         pts = generate_p_positions(D, (64,) + (64,) * (D - 1))
         assert pts.shape[0] == (1 if D == 1 else 64)
-        monkeypatch.setattr(nim, "CHUNK_CELLS", 5 * D)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 5 * D)
         rep = run_task(est, 4)
         assert rep.trials == pts.shape[0]
         assert rep.failures == int(np.count_nonzero(~est.is_member_batch(pts)))

@@ -198,3 +198,27 @@ class TestBinomialTable:
         # 4-byte entries plus one int64 column of scratch; 8-byte entries fail
         assert t.nbytes == 4 * t.size
         assert peak < 1.25 * 4 * t.size
+
+
+class TestChunkRanges:
+    def test_first_level_that_fits_beside_its_held_cells(self, monkeypatch):
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 100)
+        # one row of the first level is over budget; the second fits 3 rows beside 40 cells
+        levels = [(0, 4, 101), (40, 7, 20), (0, 9, 1)]
+        assert padic.chunk_ranges(levels, "slab") == (1, [(0, 3), (3, 6), (6, 7)])
+        assert padic.chunk_ranges(levels[2:], "slab") == (0, [(0, 9)])
+        # no level fits: the message names the smallest slab and appends the hint
+        with pytest.raises(ValueError, match=r"^one grid slab holds 101 cells, over 100; see$"):
+            padic.chunk_ranges([(90, 1, 12), (0, 5, 101)], "grid slab", "; see")
+
+    def test_grid_over_budget_fails_fast(self, monkeypatch):
+        # at 2**6 cells no axis of this 8 x 8 x 8 grid can be cut small enough
+        params = LearningParams(p=2, E=6, D=3, M=4)
+        est = learn(SampleSet(params, [(0, 1, 2)]))
+        axes = [np.arange(8)] * 3
+        want = est.predict_residue_grid(axes)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 2**6)
+        with pytest.raises(ValueError, match="one grid slab holds"):
+            est.predict_residue_grid(axes)
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 2**7)
+        assert np.array_equal(est.predict_residue_grid(axes), want)
