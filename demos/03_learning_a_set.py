@@ -41,7 +41,8 @@ print(f"residues on [16, 32): {est.predict_residue_batch(outside)}")
 
 # Truncation: keep only coefficients with index below L.  A shorter
 # series is cheaper to evaluate and acts as a smoother, at the cost of
-# exactness on the training set.  The model stores just that window.
+# exactness on the training set.  The model fits and stores just that
+# window: only the values on [0, L) enter its coefficients.
 short = learn(SampleSet(LearningParams(p=2, E=6, D=1, M=16, L=4), samples.points))
 print(f"coefficients kept at L=4: {short.coeffs.data}")
 print(f"first 4 of the full fit:  {est.coeffs.data[:4]}")

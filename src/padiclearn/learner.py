@@ -1,11 +1,11 @@
 """Estimate the defining function of a sampled set and predict membership.
 
-Training fills the value grid over [0, M)**D with p**v at every node,
-where v is the best valuation any sample achieves against the node; the
-valuation E collapses to 0 mod p**E, so samples themselves land exactly
-on zero.  The grid's Mahler transform, truncated per axis at L, is
-the model.  Evaluating the truncated series at a point estimates the
-defining function mod p**E, and a zero residue is the membership verdict.
+Training fills the value window [0, L)**D with p**v at each node, v the
+best valuation any sample achieves against it; the valuation E is 0 mod
+p**E, so samples land on zero.  The window's Mahler transform is the
+model: the inverse binomial matrix is lower-triangular, so no value
+outside the window reaches it.  The truncated series at a point estimates
+the defining function mod p**E; a zero residue is the membership verdict.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mahler import ResidueGrid, evaluate_at_points, evaluate_on_grid, mahler_transform
-from .padic import CHUNK_CELLS, LearningParams, as_points, binomial_table
+from .padic import LearningParams, as_points, binomial_table
 from .trie import PadicTrie
 
 
@@ -38,17 +38,23 @@ class SampleSet:
         object.__setattr__(self, "points", np.unique(pts, axis=0))
 
 
+# the fill's trie queries step through _FILL_CELLS // D nodes, counting only D of the
+# ~3D + ED/8 + 8 int64 cells a node holds (FOUND: in CHANGES.md); the step goes
+# with the trie in ROADMAP item 5
+_FILL_CELLS = 1 << 22
+
+
 def build_value_grid(samples: SampleSet) -> ResidueGrid:
-    """Fill [0, M)**D with p**v, v the trie valuation of each grid node."""
+    """Fill [0, L)**D with p**v, v the trie valuation of each node against all samples."""
     params = samples.params
     trie = PadicTrie(params, samples.points)
     mod = params.modulus
     # powers[E] == p**E % p**E == 0: exact hits vanish
     powers = np.array([pow(params.p, v, mod) for v in range(params.E)] + [0], dtype=np.int64)
-    total = params.M**params.D
-    shape = (params.M,) * params.D
+    total = params.L**params.D
+    shape = (params.L,) * params.D
     values = np.empty(total, dtype=np.int64)
-    step = max(1, CHUNK_CELLS // params.D)
+    step = max(1, _FILL_CELLS // params.D)
     for start in range(0, total, step):
         flat = np.arange(start, min(start + step, total))
         pts = np.stack(np.unravel_index(flat, shape), axis=1)
@@ -57,14 +63,12 @@ def build_value_grid(samples: SampleSet) -> ResidueGrid:
 
 
 def learn(samples: SampleSet) -> "DefiningFunctionEstimate":
-    """Train an estimate: grid fill, Mahler transform, truncation.
+    """Train an estimate: the Mahler transform of the [0, L)**D value window.
 
-    The model keeps the L**D window of coefficients whose every index is
-    below L; the rest of the M**D transform is dropped.
+    It equals the L**D window of the whole [0, M)**D grid's transform,
+    because the inverse binomial matrix is lower-triangular.
     """
-    params = samples.params
-    coeffs = mahler_transform(build_value_grid(samples))
-    return _estimate(params, coeffs.data[(slice(0, params.L),) * params.D])
+    return _estimate(samples.params, mahler_transform(build_value_grid(samples)).data)
 
 
 def _estimate(params: LearningParams, window: np.ndarray) -> "DefiningFunctionEstimate":

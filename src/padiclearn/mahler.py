@@ -27,7 +27,7 @@ from .padic import LearningParams, as_coordinates, as_points, binomial_table
 class ResidueGrid:
     """Cube-shaped D-dimensional array of residues mod p**E.
 
-    The same container stores value grids (extent M, indexed by grid
+    The same container stores value grids (extent L, indexed by grid
     points) and coefficient grids (indexed by basis multi-indices; a
     trained model keeps the window of extent L).  Entries must already be
     integers: bool and float data are rejected, not truncated.

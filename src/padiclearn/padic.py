@@ -28,9 +28,9 @@ assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**52
 assert MAX_MODULUS - 1 < 2**31
 assert MAX_TABLE_CELLS * (MAX_MODULUS - 1) < 2**63
 
-# point evaluation, grid slabs and the task-2 and task-4 sweeps keep scratch within this many
-# int64 cells; a value-grid fill step counts only D of the ~3D + ED/8 + 8 cells a node holds
-CHUNK_CELLS = 1 << 22
+# point blocks and runs, grid slabs and the task-2 and task-4 sweeps keep scratch
+# within this many int64 cells, 8 MiB
+CHUNK_CELLS = 1 << 20
 
 
 def is_prime(n: int) -> bool:

@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,20 @@ class TestValueGrid:
             allowed = {params.p**v % params.modulus for v in range(params.E)} | {0}
             assert set(np.unique(grid.data).tolist()) <= allowed
 
+    def test_window_is_the_corner_of_the_whole_grid(self):
+        # at L < M only [0, L)**D is filled, against every sample, inside it or not
+        params = LearningParams(p=2, E=3, D=1, M=5, L=2)
+        assert build_value_grid(SampleSet(params, [(4,)])).data.tolist() == [4, 1]
+        rng = np.random.default_rng(39)
+        for _ in range(30):
+            params, samples = random_setup(rng)
+            L = int(rng.integers(1, params.M + 1))
+            window = LearningParams(params.p, params.E, params.D, params.M, L)
+            grid = build_value_grid(SampleSet(window, samples.points))
+            whole = build_value_grid(samples)
+            assert grid.extent == L
+            assert np.array_equal(grid.data, whole.data[(slice(0, L),) * params.D])
+
     def test_refinement_is_monotone(self):
         # more samples can only raise the valuation read at each node
         rng = np.random.default_rng(31)
@@ -146,6 +161,21 @@ class TestLearn:
         full = learn(SampleSet(LearningParams(p=2, E=4, D=2, M=4), samples.points))
         assert est.coeffs.data.shape == (2, 2)
         assert np.array_equal(est.coeffs.data, full.coeffs.data[:2, :2])
+
+    def test_fit_memory_follows_the_window(self):
+        # the 4**4 window is 1/256 of the 16**4 grid, whose fill and transform
+        # alone would peak at 8.6 MiB
+        params = LearningParams(p=2, E=6, D=4, M=16, L=4)
+        rng = np.random.default_rng(38)
+        samples = SampleSet(params, rng.integers(0, 16, size=(500, 4)))
+        tracemalloc.start()
+        try:
+            est = learn(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.coeffs.extent == 4
+        assert peak < 2 * 2**20
 
     def test_truncated_prediction_is_window_sum(self):
         params = LearningParams(p=2, E=4, D=1, M=4, L=2)

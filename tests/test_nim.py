@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from padiclearn import nim, padic
-from padiclearn.learner import SampleSet, learn
+from padiclearn.learner import DefiningFunctionEstimate, SampleSet, learn
 from padiclearn.nim import (
     BENCHMARK_PARAMS,
     BenchmarkReport,
@@ -232,6 +232,27 @@ class TestRunTask(object):
         est = learn(SampleSet(params, generate_p_positions(5, 2)))
         with pytest.raises(ValueError, match="--mode subsample"):
             run_task(est, 2)
+
+    def test_task4_oversized_slab_at_d4(self, monkeypatch):
+        # D=4 at E=10: one x0 value holds 4 * 1024**2 point coordinates, over the
+        # budget, while task 2 still fits with one x1 value per slab
+        params = LearningParams(p=2, E=10, D=4, M=2)
+        est = learn(SampleSet(params, generate_p_positions(4, 2)))
+        with pytest.raises(ValueError, match="one task 4 slab holds 4194304 cells"):
+            run_task(est, 4)
+        slabs = []
+
+        class Stop(Exception):
+            pass
+
+        def first_slab(self, axes):
+            slabs.append([len(a) for a in axes])
+            raise Stop  # before sweeping 2**30 points
+
+        monkeypatch.setattr(DefiningFunctionEstimate, "predict_residue_grid", first_slab)
+        with pytest.raises(Stop):
+            run_task(est, 2)
+        assert slabs == [[1, 1, 1024, 1024]]
 
     def test_subsample_mode(self, small_estimate):
         r = run_task(small_estimate, 2, mode="subsample", seed=3, sample_size=1000)
