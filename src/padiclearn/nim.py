@@ -186,7 +186,10 @@ def run_task(
         hint = "; run task 2 with --mode subsample instead"
         for lo, hi in chunk_ranges([level], "task 2 slab", hint)[1]:
             axes = ([np.array([0]), np.arange(lo, hi)] + [np.arange(bound)] * (P.D - 2))[: P.D]
-            residues = est.predict_residue_grid(axes)
+            try:
+                residues = est.predict_residue_grid(axes)
+            except ValueError as exc:  # the axes are valid, so only a grid slab is too large
+                raise ValueError(f"{exc}{hint}") from exc
             failures += int(np.count_nonzero((residues == 0) != (_xor_grid(axes) == 0)))
         n, rep_seed, rep_mode, ci = bound ** (P.D - 1), None, "exhaustive", None
     else:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .padic import LearningParams, as_points
+from .padic import MAX_TABLE_CELLS, LearningParams, as_points
 
 
 def _digit_strings(params: LearningParams, points) -> np.ndarray:
@@ -26,6 +26,17 @@ def _digit_strings(params: LearningParams, points) -> np.ndarray:
     return out
 
 
+def _node_starts(digits: np.ndarray):
+    """Per digit i, one mask (updated in place) of the sorted rows that start a
+    prefix of length i + 1: the first row, and rows where a digit up to i changes.
+    """
+    new = np.zeros(digits.shape[0], dtype=bool)
+    new[:1] = True
+    for i in range(digits.shape[1]):
+        new[1:] |= digits[1:, i] != digits[:-1, i]
+        yield new
+
+
 class PadicTrie:
     """Indexes a finite point set by interleaved digit strings.
 
@@ -33,23 +44,35 @@ class PadicTrie:
     i, then floor(i / D) is the best min-over-coordinates valuation any
     indexed point achieves against the query; a full trace of all E*D
     digits reports E, the working stand-in for infinite valuation.
+
+    A node is a distinct prefix of the sorted, deduplicated digit strings.
+    One vectorised sweep per digit counts them, the nodes x p child table is
+    checked against MAX_TABLE_CELLS before it is allocated, and a second
+    sweep fills it, numbering nodes breadth-first from the root 0.
     Built once, then only queried; an empty (0, D) array builds the root-only trie.
     """
 
     def __init__(self, params: LearningParams, points):
         self.params = params
-        # children[node][digit] -> child id, -1 for absent; node 0 is the root
-        children = [[-1] * params.p]
-        for row in _digit_strings(params, points).tolist():
-            node = 0
-            for dig in row:
-                nxt = children[node][dig]
-                if nxt < 0:
-                    nxt = len(children)
-                    children[node][dig] = nxt
-                    children.append([-1] * params.p)
-                node = nxt
-        self._kids = np.asarray(children, dtype=np.int64)
+        digits = np.unique(_digit_strings(params, points), axis=0)
+        n = digits.shape[0]
+        count = 1 + sum(int(np.count_nonzero(new)) for new in _node_starts(digits))
+        if count * params.p > MAX_TABLE_CELLS:
+            raise ValueError(
+                f"a trie of {count} nodes times p = {params.p} children exceeds "
+                f"the supported table size {MAX_TABLE_CELLS}"
+            )
+        # kids[node, digit] -> child id, -1 for absent
+        kids = np.full((count, params.p), -1, dtype=np.int64)
+        node = np.zeros(n, dtype=np.int64)  # each row's node after the digits so far
+        next_id = 1
+        for i, new in enumerate(_node_starts(digits)):
+            first = np.flatnonzero(new)
+            child = np.arange(next_id, next_id + first.size)
+            kids[node[first], digits[first, i]] = child
+            node = np.repeat(child, np.diff(first, append=n))
+            next_id += first.size
+        self._kids = kids
 
     @property
     def node_count(self) -> int:

@@ -70,3 +70,22 @@ def pascal_table(modulus: int, nmax: int, kmax: int) -> np.ndarray:
         # zero entries beyond the diagonal stay zero under the recurrence
         data[n, 1:] = (data[n - 1, 1:] + data[n - 1, :-1]) % modulus
     return data
+
+
+def trie_node_count(points, p: int, E: int) -> int:
+    """1 + the number of distinct non-empty prefixes of the points' digit strings.
+
+    A point's string is the base-p digits of its coordinates, least significant
+    first, one round of one digit per coordinate for each of E rounds.  The digits
+    come from Python divmod, sharing nothing with the trie's numpy digit tables.
+    """
+    prefixes = set()
+    for point in points:
+        coords = [int(c) for c in point]
+        string = []
+        for _ in range(E):
+            for d, c in enumerate(coords):
+                coords[d], digit = divmod(c, p)
+                string.append(digit)
+        prefixes.update(tuple(string[:i]) for i in range(1, len(string) + 1))
+    return 1 + len(prefixes)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from padiclearn import nim, padic
+from padiclearn import learner, nim, padic
 from padiclearn.learner import DefiningFunctionEstimate, SampleSet, learn
 from padiclearn.nim import (
     BENCHMARK_PARAMS,
@@ -231,6 +231,14 @@ class TestRunTask(object):
         params = LearningParams(p=2, E=10, D=5, M=2)
         est = learn(SampleSet(params, generate_p_positions(5, 2)))
         with pytest.raises(ValueError, match="--mode subsample"):
+            run_task(est, 2)
+
+    def test_task2_oversized_grid_slab_points_at_subsample(self):
+        # one x1 slab of 4 * 4**9 output cells fits, but the grid evaluator's own
+        # slab inside it does not
+        params = LearningParams(p=2, E=2, D=11, M=4)
+        est = learner._estimate(params, np.zeros((4,) * 11, dtype=params.residue_dtype))
+        with pytest.raises(ValueError, match=r"one grid slab holds .*--mode subsample"):
             run_task(est, 2)
 
     def test_task4_oversized_slab_at_d4(self, monkeypatch):

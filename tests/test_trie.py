@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import valuation
+from oracles import trie_node_count, valuation
 
-from padiclearn.padic import LearningParams
+from padiclearn.padic import MAX_TABLE_CELLS, LearningParams
 from padiclearn.trie import PadicTrie
 
 
@@ -52,6 +54,49 @@ class TestBuild:
             params, points, _ = random_instance(rng)
             trie = PadicTrie(params, points)
             assert trie.node_count <= 1 + points.shape[0] * params.E * params.D
+
+    def test_node_count_matches_oracle(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            params, points, _ = random_instance(rng)
+            want = trie_node_count(points, params.p, params.E)
+            assert PadicTrie(params, points).node_count == want
+
+    @pytest.mark.parametrize("D", [1, 2, 3, 4])
+    def test_node_count_matches_oracle_at_p5(self, D):
+        rng = np.random.default_rng(15 + D)
+        for E in (1, 2, 3):
+            params = LearningParams(p=5, E=E, D=D, M=2)
+            points = rng.integers(0, 2 * 5**E, size=(int(rng.integers(1, 80)), D))
+            assert PadicTrie(params, points).node_count == trie_node_count(points, 5, E)
+
+    def test_build_memory_is_bounded(self):
+        # 5000 samples of a 30-digit string: 93k nodes, a 1.5 MB child table
+        params = LearningParams(p=2, E=6, D=5, M=16)
+        points = np.random.default_rng(16).integers(0, 16, size=(5000, 5))
+        tracemalloc.start()
+        try:
+            trie = PadicTrie(params, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trie.node_count > 90_000
+        assert peak < 5 * 2**20
+
+    def test_oversized_child_table_fails_fast(self):
+        # about 150 nodes times 1048573 children is over 1 GiB of int64 cells
+        params = LearningParams(p=1048573, E=1, D=2, M=64)
+        points = np.random.default_rng(17).integers(0, 64, size=(100, 2))
+        nodes = trie_node_count(points, params.p, params.E)
+        assert nodes * params.p > MAX_TABLE_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"{nodes} nodes .* p = 1048573 .* 67108864"):
+                PadicTrie(params, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_duplicates_are_idempotent(self):
         params = LearningParams(p=2, E=3, D=2, M=4)
