@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 import numpy as np
@@ -75,7 +76,7 @@ def _cmd_learn(args) -> int:
     points = read_sample_file(args.in_path, params.D)
     est = learn(SampleSet(params, points))
     est.save(args.out)
-    print(f"model written to {args.out}", file=sys.stderr)
+    print(f"model written to {args.out} ({os.path.getsize(args.out)} bytes)", file=sys.stderr)
     return 0
 
 

@@ -11,6 +11,7 @@ the defining function mod p**E; a zero residue is the membership verdict.
 from __future__ import annotations
 
 import hashlib
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,21 +131,26 @@ def _digest(fields: bytes, body: bytes) -> bytes:
 
 
 def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
-    """Write the text line `p E D M L <digest>`, then the L**D window.
+    """Write the text line `p E D M L <digest>`, then the L**D window as one zlib stream.
 
-    The window goes in row-major order as little-endian params.residue_dtype bytes;
-    the digest is a hex blake2b over the five header fields and the body.
+    The window is deflated in row-major order as little-endian params.residue_dtype
+    bytes, at zlib's default level; the digest is a hex blake2b over the five header
+    fields and the raw window, so it does not depend on the zlib build.
     """
     fields = f"{params.p} {params.E} {params.D} {params.M} {params.L}".encode()
-    body = window.astype(params.residue_dtype).tobytes()
-    fh.write(fields + b" " + _digest(fields, body) + b"\n" + body)
+    raw = window.astype(params.residue_dtype).tobytes()
+    fh.write(fields + b" " + _digest(fields, raw) + b"\n" + zlib.compress(raw))
 
 
 def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     """Params and L**D window of a model file, checked against its digest.
 
-    Reads at most one byte past the expected body, so a huge or corrupt
-    file costs bounded memory.  ResidueGrid checks the value range.
+    Reads at most zlib's compressBound of the window size plus one byte and
+    inflates at most one byte past the window, so a huge, corrupt or bomb
+    file costs bounded memory.  Raises ValueError, in this order, for a body
+    that is not a valid zlib stream, a window of the wrong size, a truncated
+    or overlong stream, bytes after the stream and a digest mismatch.
+    ResidueGrid checks the value range.
     """
     line = fh.readline(128)  # far longer than any header the caps admit
     head = line.split()
@@ -156,10 +162,23 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         raise ValueError(f"bad model header {line!r}: {exc}") from exc
     dtype = params.residue_dtype
     size = params.L**params.D * dtype.itemsize
-    body = fh.read(size + 1)
-    if len(body) != size:
+    bound = size + (size >> 12) + (size >> 14) + (size >> 25) + 13  # zlib's compressBound
+    stream = fh.read(bound + 1)
+    inflater = zlib.decompressobj()
+    try:
+        body = inflater.decompress(stream, size + 1)
+    except zlib.error as exc:
+        raise ValueError(
+            f"model body is not a valid zlib stream ({exc}); uncompressed models no longer load"
+        ) from exc
+    if len(body) > size or (inflater.eof and len(body) < size):
         got = "more" if len(body) > size else len(body)
         raise ValueError(f"model body must be {size} bytes, L**D {dtype.name} values, got {got}")
+    if not inflater.eof:
+        why = f"runs past {bound} bytes" if len(stream) > bound else "is truncated"
+        raise ValueError(f"model body's zlib stream {why}")
+    if inflater.unused_data:
+        raise ValueError("model body has bytes after its zlib stream")
     if _digest(b" ".join(head[:5]), body) != head[5]:
         raise ValueError("model digest does not match its header and body")
     return params, np.frombuffer(body, dtype).reshape((params.L,) * params.D)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,10 @@ class TestPipeline:
         report = tmp_path / "report.txt"
 
         assert run("gen-samples", "--D", "3", "--M", "16", "--out", str(samples)) == 0
+        capsys.readouterr()
         assert run("learn", *SMALL, "--in", str(samples), "--out", str(model)) == 0
+        err = capsys.readouterr().err
+        assert f"model written to {model} ({model.stat().st_size} bytes)\n" in err
         head = model.read_bytes().split(b"\n", 1)[0]
         assert head.split()[:5] == [b"2", b"6", b"3", b"16", b"16"]
 
@@ -141,7 +146,8 @@ class TestPipeline:
         flags = ["--p", "3", "--E", "3", "--D", "2", "--M", "5", "--L", "4"]
         assert run("learn", *flags, "--in", str(samples), "--out", str(model)) == 0
         assert run("dump-coeffs", "--in", str(model), "--out", str(dump)) == 0
-        head, body = model.read_bytes().split(b"\n", 1)
+        head, stream = model.read_bytes().split(b"\n", 1)
+        body = zlib.decompress(stream)
         dump_head, *rows = dump.read_text().splitlines()
         assert head.split()[:5] == [b"3", b"3", b"2", b"5", b"4"]
         assert dump_head == "3 3 2 4"
@@ -183,6 +189,28 @@ class TestErrors:
         assert run("learn", *small1, "--in", str(samples), "--out", str(model)) == 0
         assert run("predict", "--in", str(model), "--point", "one") == 1
         assert "--point" in capsys.readouterr().err
+
+    def test_corrupt_model(self, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        model = tmp_path / "model.bin"
+        samples.write_text("0\n3\n")
+        flags = ["--p", "2", "--E", "3", "--D", "1", "--M", "4"]
+        assert run("learn", *flags, "--in", str(samples), "--out", str(model)) == 0
+        head, stream = model.read_bytes().split(b"\n", 1)
+        window = zlib.decompress(stream)
+        cases = [
+            (stream[:-2], "truncated"),
+            (stream + b"\x00", "bytes after"),
+            (zlib.compress(window * 2), "got more"),
+            (window, "uncompressed models no longer load"),
+        ]
+        for body, message in cases:
+            model.write_bytes(head + b"\n" + body)
+            capsys.readouterr()
+            assert run("predict", "--in", str(model), "--point", "1") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: model body") and message in err
+            assert "Traceback" not in err
 
     def test_gen_samples_box_over_cap(self, monkeypatch, capsys):
         # --D 4 --M 5000 asks for a free box of 5000**3 points; a small cap shows the same path

@@ -1,6 +1,7 @@
 import io
 import itertools
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -322,9 +323,8 @@ class TestPersistence:
         est = learn(SampleSet(params, rng.integers(0, 6, size=(9, 3))))
         path = tmp_path / "model.bin"
         est.save(path)
-        head = path.read_bytes().split(b"\n", 1)[0]
-        # header line, then one byte per window value: p**E - 1 = 31 fits uint8
-        assert path.stat().st_size == len(head) + 1 + 3**3
+        # the window inflates to one byte per value: p**E - 1 = 31 fits uint8
+        assert len(zlib.decompress(path.read_bytes().split(b"\n", 1)[1])) == 3**3
         back = DefiningFunctionEstimate.load(path)
         assert back.params == est.params
         assert np.array_equal(back.coeffs.data, est.coeffs.data)
@@ -337,7 +337,11 @@ class TestPersistence:
         est = learn(SampleSet(LearningParams(p=2, E=2, D=1, M=2), [(0,)]))
         path = tmp_path / "model.bin"
         est.save(path)
-        assert path.read_bytes() == b"2 2 1 2 2 d91b44947c0e7d464d6ba8b3ed39bf14\n\x00\x01"
+        head, stream = path.read_bytes().split(b"\n", 1)
+        # the compressed bytes depend on the zlib build; header and window do not
+        assert head + b"\n" + zlib.decompress(stream) == (
+            b"2 2 1 2 2 d91b44947c0e7d464d6ba8b3ed39bf14\n\x00\x01"
+        )
 
     @pytest.mark.parametrize(
         "p, E, dtype",
@@ -355,7 +359,7 @@ class TestPersistence:
         est = learn(SampleSet(params, [(0, 1), (2, 2)]))
         path = tmp_path / "model.bin"
         est.save(path)
-        body = path.read_bytes().split(b"\n", 1)[1]
+        body = zlib.decompress(path.read_bytes().split(b"\n", 1)[1])
         assert body == est.coeffs.data.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
         assert len(body) == 9 * np.dtype(dtype).itemsize
         assert np.array_equal(DefiningFunctionEstimate.load(path).coeffs.data, est.coeffs.data)
@@ -367,20 +371,32 @@ class TestPersistence:
         assert batch.tolist() == [est.predict_residue(x) for x in pts] == np.diag(grid).tolist()
         assert type(est.predict_residue((5, 7))) is int
 
+    def test_incompressible_window_round_trip(self):
+        # random bytes deflate to stored blocks, the longest stream the read admits
+        params = LearningParams(p=2, E=8, D=2, M=256)
+        window = np.random.default_rng(39).integers(0, 256, size=(256, 256))
+        buf = io.BytesIO()
+        write_coefficient_rows(buf, params, window)
+        assert len(buf.getvalue().split(b"\n", 1)[1]) > 256**2
+        buf.seek(0)
+        back_params, back = read_coefficient_rows(buf)
+        assert back_params == params and np.array_equal(back, window)
+
     def _saved(self, tmp_path):
         params = LearningParams(p=2, E=4, D=2, M=4)
         est = learn(SampleSet(params, [(0, 1), (2, 2), (3, 0)]))
         path = tmp_path / "model.bin"
         est.save(path)
-        head, body = path.read_bytes().split(b"\n", 1)
-        return path, head, body
+        head, stream = path.read_bytes().split(b"\n", 1)
+        return path, head, stream
 
     def test_flipped_body_byte_rejected(self, tmp_path):
-        path, head, body = self._saved(tmp_path)
-        for i in (0, 7, len(body) - 1):
-            # values stay below 16, so only the digest can tell
-            flipped = body[:i] + bytes([body[i] ^ 1]) + body[i + 1 :]
-            path.write_bytes(head + b"\n" + flipped)
+        path, head, stream = self._saved(tmp_path)
+        window = zlib.decompress(stream)
+        for i in (0, 7, len(window) - 1):
+            # values stay below 16 and the stream is well formed, so only the digest can tell
+            flipped = window[:i] + bytes([window[i] ^ 1]) + window[i + 1 :]
+            path.write_bytes(head + b"\n" + zlib.compress(flipped))
             with pytest.raises(ValueError, match="digest"):
                 DefiningFunctionEstimate.load(path)
 
@@ -388,7 +404,7 @@ class TestPersistence:
         path, head, body = self._saved(tmp_path)
         p, E, D, M, L, digest = head.split()
         assert (p, E, D, M, L) == (b"2", b"4", b"2", b"4", b"4")
-        # same body size under each, so the digest catches them
+        # same window size under each, so the digest catches them
         for fields in ([b"2", b"4", b"2", b"5", b"4"], [b"02", b"4", b"2", b"4", b"4"]):
             path.write_bytes(b" ".join([*fields, digest]) + b"\n" + body)
             with pytest.raises(ValueError, match="digest"):
@@ -399,21 +415,71 @@ class TestPersistence:
             DefiningFunctionEstimate.load(path)
 
     def test_body_one_byte_short_or_long(self, tmp_path):
-        path, head, body = self._saved(tmp_path)
-        for bad, got in [(body[:-1], "got 15"), (body + b"\x00", "got more")]:
-            path.write_bytes(head + b"\n" + bad)
+        path, head, stream = self._saved(tmp_path)
+        window = zlib.decompress(stream)
+        for bad, got in [(window[:-1], "got 15"), (window + b"\x00", "got more")]:
+            path.write_bytes(head + b"\n" + zlib.compress(bad))
             with pytest.raises(ValueError, match=rf"must be 16 bytes, L\*\*D uint8 values, {got}"):
                 DefiningFunctionEstimate.load(path)
 
-    def test_long_body_read_is_bounded(self, tmp_path):
-        path, head, body = self._saved(tmp_path)
-        fh = io.BytesIO(head + b"\n" + body + bytes(1 << 20))
-        with pytest.raises(ValueError, match="got more"):
+    def test_malformed_stream_rejected(self, tmp_path):
+        path, head, stream = self._saved(tmp_path)
+        window = zlib.decompress(stream)
+        # a flip in the zlib header or the adler32 trailer; one inside the deflate
+        # data may decode to the same window, which then loads as the same model
+        flips = [
+            stream[:i] + bytes([stream[i] ^ 1]) + stream[i + 1 :]
+            for i in (0, 1, len(stream) - 4, len(stream) - 1)
+        ]
+        cases = [(body, "not a valid zlib stream") for body in flips] + [
+            (window, "not a valid zlib stream.*uncompressed models no longer load"),
+            (stream[:-1], "zlib stream is truncated"),
+            (stream[: len(stream) // 2], "zlib stream is truncated"),
+            (b"", "zlib stream is truncated"),
+            (stream + b"\x00", "bytes after its zlib stream"),
+            (stream + stream, "bytes after its zlib stream"),
+        ]
+        for body, message in cases:
+            path.write_bytes(head + b"\n" + body)
+            with pytest.raises(ValueError, match=message):
+                DefiningFunctionEstimate.load(path)
+
+    def test_stream_past_compress_bound_rejected(self, tmp_path):
+        # one sync flush per window byte: a valid stream, longer than any
+        # zlib.compress output of 16 bytes, so the read stops at the bound
+        path, head, stream = self._saved(tmp_path)
+        deflater = zlib.compressobj()
+        body = b"".join(
+            deflater.compress(bytes([v])) + deflater.flush(zlib.Z_SYNC_FLUSH)
+            for v in zlib.decompress(stream)
+        )
+        body += deflater.flush()
+        assert zlib.decompress(body) == zlib.decompress(stream)
+        fh = io.BytesIO(head + b"\n" + body)
+        with pytest.raises(ValueError, match="zlib stream runs past 29 bytes"):
             read_coefficient_rows(fh)
-        assert fh.tell() == len(head) + 1 + len(body) + 1
+        assert fh.tell() == len(head) + 1 + 29 + 1
+
+    def test_long_body_read_is_bounded(self, tmp_path):
+        # a decompression bomb: a valid stream that inflates to 64 MiB under a
+        # 16-byte-window header
+        path, head, stream = self._saved(tmp_path)
+        deflater = zlib.compressobj(1)
+        zeros = bytes(1 << 20)
+        bomb = b"".join(deflater.compress(zeros) for _ in range(64)) + deflater.flush()
+        fh = io.BytesIO(head + b"\n" + bomb)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="got more"):
+                read_coefficient_rows(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert fh.tell() <= len(head) + 1 + 16 + 13 + 1
 
     def test_cutoff_header_with_outside_coefficients_rejected(self, tmp_path):
-        # the M**D window under an L < M header fails the L**D body size
+        # the M**D window under an L < M header fails the L**D window size
         params = LearningParams(p=2, E=4, D=1, M=4)
         est = learn(SampleSet(params, [(0,)]))
         assert est.coeffs.data[2:].any()
@@ -456,7 +522,7 @@ class TestPersistence:
         # or no body at all
         head = bad.read_bytes().split(b"\n", 1)[0]
         bad.write_bytes(head + b"\n")
-        with pytest.raises(ValueError, match="must be 2 bytes"):
+        with pytest.raises(ValueError, match="zlib stream is truncated"):
             DefiningFunctionEstimate.load(bad)
 
     def test_indexed_model_rejected(self, tmp_path):

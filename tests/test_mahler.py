@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -402,14 +403,14 @@ class TestDumpFormat:
         assert lines[0] == "2 3 2 2"
         assert lines[1:] == ["0 0 1", "0 1 2", "1 0 3", "1 1 4"]
 
-    # a dump is read from a model file: the raw window under a digest header
+    # a dump is read from a model file: the window's zlib stream under a digest header
 
     def test_row_parse_round_trip(self):
         rng = np.random.default_rng(27)
         grid = random_grid(rng)
         buf = io.BytesIO()
         write_coefficient_rows(buf, grid.params, grid.data)
-        body = buf.getvalue().split(b"\n", 1)[1]
+        body = zlib.decompress(buf.getvalue().split(b"\n", 1)[1])
         assert body == grid.data.astype(np.min_scalar_type(grid.params.modulus - 1)).tobytes()
         buf.seek(0)
         params, back = read_coefficient_rows(buf)
@@ -417,10 +418,10 @@ class TestDumpFormat:
         assert np.array_equal(back, grid.data)
 
     def test_rejects_wrong_count(self):
-        # short, long, and the older indexed `l_0 l_1 value` rows
+        # short, long, and the older indexed `l_0 l_1 value` rows, each deflated
         for body in (b"\x01\x02\x03", b"\x01\x02\x03\x04\x05", b"0 0 1\n0 1 2\n1 0 3\n1 1 4\n"):
             with pytest.raises(ValueError, match="must be 4 bytes"):
-                read_coefficient_rows(io.BytesIO(DUMMY_HEAD + body))
+                read_coefficient_rows(io.BytesIO(DUMMY_HEAD + zlib.compress(body)))
 
     @pytest.mark.parametrize(
         "text",
