@@ -18,7 +18,7 @@ MAX_AXIS_EXTENT = 1 << 12  # per-axis grid bound M
 MAX_GRID_CELLS = 1 << 24  # M**D
 MAX_DIMENSION = 32  # D; numpy before 2.0 holds at most 32 axes per array
 # entries of one binomial table, 256 MiB at 4 bytes, and cells of one trie's
-# nodes x p child table, 512 MiB at int64
+# (nodes + 1) x p child table, 512 MiB at int64
 MAX_TABLE_CELLS = 1 << 26
 
 # mahler._mulmod, where the transform and both evaluators form every sum,

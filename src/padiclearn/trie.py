@@ -26,17 +26,6 @@ def _digit_strings(params: LearningParams, points) -> np.ndarray:
     return out
 
 
-def _node_starts(digits: np.ndarray):
-    """Per digit i, one mask (updated in place) of the sorted rows that start a
-    prefix of length i + 1: the first row, and rows where a digit up to i changes.
-    """
-    new = np.zeros(digits.shape[0], dtype=bool)
-    new[:1] = True
-    for i in range(digits.shape[1]):
-        new[1:] |= digits[1:, i] != digits[:-1, i]
-        yield new
-
-
 class PadicTrie:
     """Indexes a finite point set by interleaved digit strings.
 
@@ -45,29 +34,33 @@ class PadicTrie:
     indexed point achieves against the query; a full trace of all E*D
     digits reports E, the working stand-in for infinite valuation.
 
-    A node is a distinct prefix of the sorted, deduplicated digit strings.
-    One vectorised sweep per digit counts them, the nodes x p child table is
-    checked against MAX_TABLE_CELLS before it is allocated, and a second
-    sweep fills it, numbering nodes breadth-first from the root 0.
-    Built once, then only queried; an empty (0, D) array builds the root-only trie.
+    A node is a distinct prefix of the sorted, deduplicated digit strings;
+    each string starts one node per digit from its fork, the first digit
+    where it leaves the string before it.  The (nodes + 1) x p child table
+    is checked against MAX_TABLE_CELLS, then filled with breadth-first ids
+    from the root 0; its last row is a sink, the child of every absent
+    edge and of itself.  Built once, then only queried; an empty (0, D)
+    array builds the root-only trie.
     """
 
     def __init__(self, params: LearningParams, points):
         self.params = params
         digits = np.unique(_digit_strings(params, points), axis=0)
-        n = digits.shape[0]
-        count = 1 + sum(int(np.count_nonzero(new)) for new in _node_starts(digits))
-        if count * params.p > MAX_TABLE_CELLS:
+        n, width = digits.shape
+        # fork[r]: the first digit at which row r leaves row r - 1; row 0 forks at the root
+        fork = np.zeros(n, dtype=np.intp)
+        fork[1:] = (digits[1:] != digits[:-1]).argmax(axis=1)
+        count = 1 + int(np.sum(width - fork))
+        if (count + 1) * params.p > MAX_TABLE_CELLS:
             raise ValueError(
-                f"a trie of {count} nodes times p = {params.p} children exceeds "
+                f"a trie of {count} nodes and a sink times p = {params.p} children exceeds "
                 f"the supported table size {MAX_TABLE_CELLS}"
             )
-        # kids[node, digit] -> child id, -1 for absent
-        kids = np.full((count, params.p), -1, dtype=np.int64)
+        kids = np.full((count + 1, params.p), count, dtype=np.int64)
         node = np.zeros(n, dtype=np.int64)  # each row's node after the digits so far
         next_id = 1
-        for i, new in enumerate(_node_starts(digits)):
-            first = np.flatnonzero(new)
+        for i in range(width):
+            first = np.flatnonzero(fork <= i)
             child = np.arange(next_id, next_id + first.size)
             kids[node[first], digits[first, i]] = child
             node = np.repeat(child, np.diff(first, append=n))
@@ -76,24 +69,20 @@ class PadicTrie:
 
     @property
     def node_count(self) -> int:
-        return self._kids.shape[0]
+        return self._kids.shape[0] - 1
 
     def nns_valuation_batch(self, points) -> np.ndarray:
         """Max over indexed points of the min coordinate-wise valuation, per row."""
+        D = self.params.D
         digits = _digit_strings(self.params, points)
-        kids = self._kids
-        n = digits.shape[0]
-        res = np.full(n, self.params.E, dtype=np.int64)
-        cur = np.zeros(n, dtype=np.int64)
-        alive = np.arange(n)
-        for i in range(digits.shape[1]):
-            if alive.size == 0:
-                break
-            nxt = kids[cur[alive], digits[alive, i]]
-            dead = nxt < 0
-            if dead.any():
-                res[alive[dead]] = i // self.params.D
-                alive = alive[~dead]
-                nxt = nxt[~dead]
-            cur[alive] = nxt
+        kids, sink = self._kids, self.node_count
+        res = np.zeros(digits.shape[0], dtype=np.int64)
+        live = np.arange(digits.shape[0])
+        cur = np.zeros_like(live)
+        for e in range(self.params.E):
+            for i in range(e * D, (e + 1) * D):
+                cur = kids[cur, digits[live, i]]
+            keep = cur != sink
+            live, cur = live[keep], cur[keep]
+            res[live] += 1
         return res

@@ -98,6 +98,18 @@ class TestBuild:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_child_table_cap_boundary(self, monkeypatch):
+        # the table holds one row per node plus the sink row
+        params = LearningParams(p=3, E=2, D=2, M=9)
+        points = np.random.default_rng(18).integers(0, 9, size=(6, 2))
+        count = trie_node_count(points, params.p, params.E)
+        cap = (count + 1) * params.p
+        monkeypatch.setattr("padiclearn.trie.MAX_TABLE_CELLS", cap - 1)
+        with pytest.raises(ValueError, match=rf"{count} nodes .* p = 3 .* {cap - 1}"):
+            PadicTrie(params, points)
+        monkeypatch.setattr("padiclearn.trie.MAX_TABLE_CELLS", cap)
+        assert PadicTrie(params, points).node_count == count
+
     def test_duplicates_are_idempotent(self):
         params = LearningParams(p=2, E=3, D=2, M=4)
         pts = [(1, 2), (3, 0), (1, 2), (1, 2)]
@@ -134,6 +146,17 @@ class TestNnsValuation:
             params, points, query = random_instance(rng)
             trie = PadicTrie(params, points)
             assert trie.nns_valuation_batch([query])[0] == brute_force_nns(params, points, query)
+        # deeper strings than the random instances, with queries near the samples
+        for p, E, D in ((2, 6, 5), (3, 3, 4)):
+            params = LearningParams(p=p, E=E, D=D, M=2)
+            hi = 2 * p**E
+            for _ in range(10):
+                points = rng.integers(0, hi, size=(int(rng.integers(1, 51)), D))
+                near = points[rng.integers(0, points.shape[0], size=40)]
+                near += p ** rng.integers(0, E + 1, size=(40, 1)) * rng.integers(0, 2, size=(40, D))
+                queries = np.concatenate([rng.integers(0, hi, size=(40, D)), near % hi])
+                got = PadicTrie(params, points).nns_valuation_batch(queries)
+                assert got.tolist() == [brute_force_nns(params, points, q) for q in queries]
 
     def test_monotone_under_superset(self):
         rng = np.random.default_rng(12)
