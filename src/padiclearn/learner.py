@@ -70,13 +70,7 @@ def learn(samples: SampleSet) -> "DefiningFunctionEstimate":
     It equals the L**D window of the whole [0, M)**D grid's transform,
     because the inverse binomial matrix is lower-triangular.
     """
-    return _estimate(samples.params, mahler_transform(build_value_grid(samples)).data)
-
-
-def _estimate(params: LearningParams, window: np.ndarray) -> "DefiningFunctionEstimate":
-    """Estimate over an L**D coefficient window, with its binomial table."""
-    table = binomial_table(params.p, params.E, nmax=params.modulus - 1, kmax=params.L - 1)
-    return DefiningFunctionEstimate(params, ResidueGrid(params, window), table)
+    return DefiningFunctionEstimate(samples.params, mahler_transform(build_value_grid(samples)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +83,12 @@ class DefiningFunctionEstimate:
 
     params: LearningParams
     coeffs: ResidueGrid
-    table: np.ndarray
+    table: np.ndarray | None = None  # C(n, k) mod p**E for n < p**E, k < L; built if not given
+
+    def __post_init__(self):
+        if self.table is None:
+            P = self.params
+            object.__setattr__(self, "table", binomial_table(P.p, P.E, P.modulus - 1, P.L - 1))
 
     def predict_residue(self, point) -> int:
         """Estimated defining-function value mod p**E at one point."""
@@ -120,7 +119,7 @@ class DefiningFunctionEstimate:
         """Rebuild an estimate bit-exactly from its model file."""
         with open(path, "rb") as fh:
             params, window = read_coefficient_rows(fh)
-        return _estimate(params, window)
+        return cls(params, ResidueGrid(params, window))
 
 
 # The model file.  These two stay apart from save and load because

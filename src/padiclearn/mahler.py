@@ -54,29 +54,26 @@ class ResidueGrid:
         return self.data.shape[0]
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, mod: int, out=None) -> np.ndarray:
-    """a @ b reduced mod `mod`, into out when given; the one place residues multiply.
+def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
+    """a @ b reduced mod `mod`, in a new int64 array; the one place residues multiply.
 
     Residue operands and a contracted extent of at most MAX_AXIS_EXTENT keep
     every int64 sum below 2**52, by the bound asserted next to the caps in padic.py.
     """
-    out = np.matmul(a, b, out=out)
+    out = np.matmul(a, b)
     out %= mod
     return out
 
 
-def _contract(data: np.ndarray, mats, mod: int, buf=None) -> np.ndarray:
+def _contract(data: np.ndarray, mats, mod: int) -> np.ndarray:
     """Contract axis d of data with mats[d] (out x in), reducing mod `mod`.
 
     Each round contracts the leading axis and appends the result axis, so
-    after all D rounds the axes are back in order, the last in int64 buf if given.
+    after all D rounds the axes are back in order.
     """
     acc = data
-    for i, mat in enumerate(mats):
-        a = acc.reshape(len(acc), -1).T
-        last = buf is not None and i == len(mats) - 1
-        out = buf[: len(a) * len(mat)].reshape(len(a), len(mat)) if last else None
-        acc = _mulmod(a, mat.T, mod, out=out).reshape(acc.shape[1:] + (len(mat),))
+    for mat in mats:
+        acc = _mulmod(acc.reshape(len(acc), -1).T, mat.T, mod).reshape(acc.shape[1:] + (len(mat),))
     return acc
 
 
@@ -115,7 +112,7 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
     (len(axes[0]), ..., len(axes[D-1])) and dtype params.residue_dtype.  One
     tensor contraction per axis replaces the per-point sum.  The axes below
     a slab axis s are contracted once, into a head; the rest run in slabs
-    along s, each ending in one reused int64 buffer; chunk_ranges picks s.
+    along s, each copied into the output before the next; chunk_ranges picks s.
     """
     params, ext, D = coeffs.params, coeffs.extent, coeffs.params.D
     bound = _table_rows(coeffs, table)
@@ -139,10 +136,9 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
     levels = [(cells[s], sides[s], sum(cells[s + 1 :]) // sides[s]) for s in range(D)]
     s, slabs = padic.chunk_ranges(levels, "grid slab")
     head = _contract(coeffs.data, rows[:s], params.modulus)
-    buf = np.empty(slabs[0][1] * (out.size // sides[s]), dtype=np.int64)
     for lo, hi in slabs:
         mats = [rows[s][lo:hi]] + rows[s + 1 :]
-        out[(slice(None),) * s + (slice(lo, hi),)] = _contract(head, mats, params.modulus, buf)
+        out[(slice(None),) * s + (slice(lo, hi),)] = _contract(head, mats, params.modulus)
     return out
 
 
@@ -166,16 +162,15 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     run_bounds = np.append(starts, spts.shape[0])
     out = np.empty(pts.shape[0], dtype=coeffs.params.residue_dtype)
     row = ext + (ext + 1) // 2  # a gathered table row: its int32 take and int64 copy
-    # per group, a block holds a gathered row and one partial, in one scratch block
+    # per group, a block holds a gathered row and one partial; one block at a time
     block = max(1, padic.CHUNK_CELLS // (row + ext ** (D - 1)))
-    partials = np.empty((min(block, uniq.size), flat.shape[1]), dtype=np.int64)
-    # per point, beside those partials, a run holds a gathered row, an index
-    # and two successive partials (at D <= 2 its partial row and value)
+    # per point, beside a block's partials, a run holds a gathered row, an
+    # index and two successive partials (at D <= 2 its partial row and value)
     per_point = row + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
-    run = max(1, (padic.CHUNK_CELLS - partials.size) // per_point)
+    run = max(1, (padic.CHUNK_CELLS - min(block, uniq.size) * flat.shape[1]) // per_point)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]
-        partial = _mulmod(_gather(table, vs, ext), flat, mod, out=partials[: vs.size])
+        partial = _mulmod(_gather(table, vs, ext), flat, mod)
         bounds = run_bounds[b0 : b0 + vs.size + 1]
         spans = [(bounds[0], bounds[-1])] if D <= 2 else zip(bounds[:-1], bounds[1:])
         for beg, end in spans:
@@ -187,13 +182,22 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
                     acc = acc.reshape(len(acc), ext, -1)
                     acc = _mulmod(_gather(table, seg[:, d], ext)[:, None], acc, mod)
                 out[order[lo : lo + len(seg)]] = acc.reshape(-1)
+        del partial  # before the next block's partials are computed
     return out
 
 
 def dump_coefficients(coeffs: ResidueGrid, path):
-    """Readable dump: header `p E D extent`, then `l_0 ... l_{D-1} value` rows."""
-    params = coeffs.params
-    idx = np.indices(coeffs.data.shape).reshape(params.D, -1)
+    """Readable dump: header `p E D extent`, then `l_0 ... l_{D-1} value` rows.
+
+    Rows are built in slabs planned by chunk_ranges and written one at a time.
+    """
+    params, values = coeffs.params, coeffs.data.reshape(-1)
+    # per row, its flat index and D coordinates, then the D + 1 cells of the row
+    slabs = padic.chunk_ranges([(0, values.size, 2 * params.D + 2)], "dump slab")[1]
+    fmt = " ".join(["%d"] * (params.D + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write(f"{params.p} {params.E} {params.D} {coeffs.extent}\n")
-        np.savetxt(fh, np.vstack([idx, coeffs.data.reshape(1, -1)]).T, fmt="%d")
+        for lo, hi in slabs:
+            idx = np.unravel_index(np.arange(lo, hi), coeffs.data.shape)
+            for row in np.column_stack(idx + (values[lo:hi],)):
+                fh.write(fmt % tuple(row))

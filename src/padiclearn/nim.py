@@ -183,14 +183,13 @@ def run_task(
     if task == 2 and mode == "exhaustive":
         failures = 0
         level = (0, bound if P.D > 1 else 1, bound ** max(P.D - 2, 0))  # D = 1 keeps only x0
-        hint = "; run task 2 with --mode subsample instead"
-        for lo, hi in chunk_ranges([level], "task 2 slab", hint)[1]:
-            axes = ([np.array([0]), np.arange(lo, hi)] + [np.arange(bound)] * (P.D - 2))[: P.D]
-            try:
+        try:
+            for lo, hi in chunk_ranges([level], "task 2 slab")[1]:
+                axes = [np.array([0]), np.arange(lo, hi), *[np.arange(bound)] * (P.D - 2)][: P.D]
                 residues = est.predict_residue_grid(axes)
-            except ValueError as exc:  # the axes are valid, so only a grid slab is too large
-                raise ValueError(f"{exc}{hint}") from exc
-            failures += int(np.count_nonzero((residues == 0) != (_xor_grid(axes) == 0)))
+                failures += int(np.count_nonzero((residues == 0) != (_xor_grid(axes) == 0)))
+        except ValueError as exc:  # the axes are valid, so only a slab is too large
+            raise ValueError(f"{exc}; run task 2 with --mode subsample instead") from exc
         n, rep_seed, rep_mode, ci = bound ** (P.D - 1), None, "exhaustive", None
     else:
         if task in (1, 3) and (trials is None or trials < 1):

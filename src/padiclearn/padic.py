@@ -105,8 +105,8 @@ class LearningParams:
             )
         if self.D > MAX_DIMENSION:  # reachable only at M = 1
             raise ValueError(f"D = {self.D} exceeds the supported dimension {MAX_DIMENSION}")
-        if self.modulus * self.M > MAX_TABLE_CELLS:
-            raise ValueError(f"p**E * M exceeds the supported table size {MAX_TABLE_CELLS}")
+        if self.modulus * self.L > MAX_TABLE_CELLS:  # the model's p**E x L binomial table
+            raise ValueError(f"p**E * L exceeds the supported table size {MAX_TABLE_CELLS}")
 
     @property
     def modulus(self) -> int:
@@ -118,18 +118,19 @@ class LearningParams:
         return np.min_scalar_type(self.modulus - 1).newbyteorder("<")
 
 
-def chunk_ranges(levels, what: str, hint: str = "") -> tuple[int, list[tuple[int, int]]]:
+def chunk_ranges(levels, what: str) -> tuple[int, list[tuple[int, int]]]:
     """The first level whose one row fits within CHUNK_CELLS, and its [lo, hi) slabs.
 
     A level (held, rows, row_cells) cuts rows of row_cells cells into slabs that fit
-    beside `held` cells kept for the whole sweep; else ValueError names `what`, then `hint`.
+    beside `held` cells kept for the whole sweep; else ValueError names `what` and
+    the cells of the smallest slab.
     """
     for i, (held, rows, row_cells) in enumerate(levels):
         if held + row_cells <= CHUNK_CELLS:
             step = (CHUNK_CELLS - held) // row_cells
             return i, [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
     least = min(held + row_cells for held, _, row_cells in levels)
-    raise ValueError(f"one {what} holds {least} cells, over {CHUNK_CELLS}{hint}")
+    raise ValueError(f"one {what} holds {least} cells, over {CHUNK_CELLS}")
 
 
 def as_coordinates(values) -> np.ndarray:

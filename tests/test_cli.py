@@ -190,6 +190,15 @@ class TestErrors:
         assert run("predict", "--in", str(model), "--point", "one") == 1
         assert "--point" in capsys.readouterr().err
 
+    def test_point_with_wrong_coordinate_count(self, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        model = tmp_path / "model.bin"
+        samples.write_text("0\n")
+        flags = ["--p", "2", "--E", "3", "--D", "1", "--M", "4"]
+        assert run("learn", *flags, "--in", str(samples), "--out", str(model)) == 0
+        assert run("predict", "--in", str(model), "--point", "1 2") == 1
+        assert "--point has 2 coordinates, model expects 1" in capsys.readouterr().err
+
     def test_corrupt_model(self, tmp_path, capsys):
         samples = tmp_path / "samples.txt"
         model = tmp_path / "model.bin"

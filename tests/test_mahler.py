@@ -251,6 +251,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate_on_grid(coeffs, [np.array([[0, 1], [2, 3]])], table)
 
+    def test_empty_axis_gives_empty_grid(self):
+        params = LearningParams(p=3, E=2, D=2, M=3)
+        coeffs = ResidueGrid(params, np.arange(9).reshape(3, 3))
+        table = binomial_table(3, 2, 8, 2)
+        got = evaluate_on_grid(coeffs, [np.arange(4), np.array([], dtype=np.int64)], table)
+        assert got.shape == (4, 0) and got.dtype == params.residue_dtype
+
     def test_small_budget_keeps_residues(self, monkeypatch):
         # a 40-cell budget cuts every partial block and every long group
         rng = np.random.default_rng(43)
@@ -402,6 +409,25 @@ class TestDumpFormat:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "2 3 2 2"
         assert lines[1:] == ["0 0 1", "0 1 2", "1 0 3", "1 1 4"]
+
+    def test_slabbed_dump_stays_in_budget(self, monkeypatch, tmp_path):
+        # 32768 rows of 8 int64 scratch cells each, in 32 slabs of 1024 rows; one
+        # slab traces about 2.2 budgets with the open file, the whole window 29
+        params = LearningParams(p=2, E=10, D=3, M=32)
+        rng = np.random.default_rng(28)
+        coeffs = ResidueGrid(params, rng.integers(0, 1024, size=(32,) * 3, dtype=np.uint16))
+        whole, sliced = tmp_path / "whole.txt", tmp_path / "sliced.txt"
+        dump_coefficients(coeffs, whole)
+        budget = 1 << 13
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            dump_coefficients(coeffs, sliced)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sliced.read_bytes() == whole.read_bytes()
+        assert peak < 3 * 8 * budget
 
     # a dump is read from a model file: the window's zlib stream under a digest header
 

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from padiclearn import learner, nim, padic
+from padiclearn import nim, padic
 from padiclearn.learner import DefiningFunctionEstimate, SampleSet, learn
+from padiclearn.mahler import ResidueGrid
 from padiclearn.nim import (
     BENCHMARK_PARAMS,
     BenchmarkReport,
@@ -118,6 +119,10 @@ class TestSamplePPositions:
         rng = np.random.default_rng(43)
         with pytest.raises(ValueError):
             sample_p_positions(rng, 3, 100, 10)
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ValueError, match="D must be at least 1, got 0"):
+            sample_p_positions(np.random.default_rng(44), 0, 8, 10)
 
 
 class TestRunTask(object):
@@ -237,7 +242,8 @@ class TestRunTask(object):
         # one x1 slab of 4 * 4**9 output cells fits, but the grid evaluator's own
         # slab inside it does not
         params = LearningParams(p=2, E=2, D=11, M=4)
-        est = learner._estimate(params, np.zeros((4,) * 11, dtype=params.residue_dtype))
+        zeros = np.zeros((4,) * 11, dtype=params.residue_dtype)
+        est = DefiningFunctionEstimate(params, ResidueGrid(params, zeros))
         with pytest.raises(ValueError, match=r"one grid slab holds .*--mode subsample"):
             run_task(est, 2)
 
@@ -282,6 +288,14 @@ class TestRunTask(object):
             run_task(small_estimate, 1, trials=10, mode="subsample")
         with pytest.raises(ValueError):
             run_task(small_estimate, 2, mode="nope")
+
+    def test_subsample_input_checks(self, small_estimate):
+        with pytest.raises(ValueError, match="sample_size must be positive, got 0"):
+            run_task(small_estimate, 2, mode="subsample", sample_size=0)
+        params = LearningParams(p=2, E=3, D=2, M=4)
+        est = learn(SampleSet(params, generate_p_positions(2, 4)))
+        with pytest.raises(ValueError, match="subsample mode needs D >= 3"):
+            run_task(est, 2, mode="subsample")
 
     def test_task4_needs_enough_precision(self):
         params = LearningParams(p=2, E=4, D=3, M=8)

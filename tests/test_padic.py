@@ -124,6 +124,13 @@ class TestLearningParams:
         with pytest.raises(ValueError, match="supported modulus"):
             LearningParams(p=1048583, E=1, D=1, M=1)  # the first prime above 2**20
 
+    def test_table_cap_counts_the_window_columns(self):
+        # the model's table has p**E rows and L columns: 2**20 * 64 is the cap itself
+        assert LearningParams(p=2, E=20, D=1, M=100, L=64).L == 64
+        assert LearningParams(p=2, E=20, D=2, M=100, L=10).M == 100
+        with pytest.raises(ValueError, match=r"p\*\*E \* L exceeds the supported table size"):
+            LearningParams(p=2, E=20, D=1, M=100, L=65)
+
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
             LearningParams(p=2.0, E=2, D=1, M=2)
@@ -172,6 +179,11 @@ class TestBinomialTable:
         with pytest.raises(ValueError):
             binomial_table(2, 2, 1 << 14, 1 << 13)  # capacity
 
+    def test_negative_bounds_rejected(self):
+        for nmax, kmax in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="table bounds must be non-negative"):
+                binomial_table(2, 2, nmax, kmax)
+
     def test_long_columns_match_row_recurrence(self):
         # the prefix sums of columns 2 and 3 pass 2**31 long before n = 3**12,
         # so an int32 accumulator would wrap before the reduction
@@ -207,9 +219,9 @@ class TestChunkRanges:
         levels = [(0, 4, 101), (40, 7, 20), (0, 9, 1)]
         assert padic.chunk_ranges(levels, "slab") == (1, [(0, 3), (3, 6), (6, 7)])
         assert padic.chunk_ranges(levels[2:], "slab") == (0, [(0, 9)])
-        # no level fits: the message names the smallest slab and appends the hint
-        with pytest.raises(ValueError, match=r"^one grid slab holds 101 cells, over 100; see$"):
-            padic.chunk_ranges([(90, 1, 12), (0, 5, 101)], "grid slab", "; see")
+        # no level fits: the message names the smallest slab
+        with pytest.raises(ValueError, match=r"^one grid slab holds 101 cells, over 100$"):
+            padic.chunk_ranges([(90, 1, 12), (0, 5, 101)], "grid slab")
 
     def test_grid_over_budget_fails_fast(self, monkeypatch):
         # at 2**6 cells no axis of this 8 x 8 x 8 grid can be cut small enough
