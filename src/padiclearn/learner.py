@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mahler import ResidueGrid, evaluate_at_points, evaluate_on_grid, mahler_transform
-from .padic import LearningParams, as_points, binomial_table
+from .padic import BinomialTable, LearningParams, as_points, binomial_table
 from .trie import PadicTrie
 
 
@@ -78,17 +78,24 @@ class DefiningFunctionEstimate:
     """Trained model: the L**D coefficient window plus the table that evaluates it.
 
     Predictions are defined on [0, p**E)**D only; the series is a residue
-    mod p**E and coordinates are read at precision E.
+    mod p**E and coordinates are read at precision E.  A table passed in
+    must be mod the same p**E and cover n < p**E, k < L, or ValueError.
     """
 
     params: LearningParams
     coeffs: ResidueGrid
-    table: np.ndarray | None = None  # C(n, k) mod p**E for n < p**E, k < L; built if not given
+    # C(n, k) mod p**E for n < p**E, k < L, as factorial unit parts; built if not given
+    table: BinomialTable | None = None
 
     def __post_init__(self):
-        if self.table is None:
-            P = self.params
+        P, T = self.params, self.table
+        if T is None:
             object.__setattr__(self, "table", binomial_table(P.p, P.E, P.modulus - 1, P.L - 1))
+        elif (T.p, T.E) != (P.p, P.E) or T.shape[0] < P.modulus or T.shape[1] < P.L:
+            raise ValueError(
+                f"table is mod {T.p}**{T.E} for n < {T.shape[0]}, k < {T.shape[1]};"
+                f" the model needs mod {P.p}**{P.E} for n < {P.modulus}, k < {P.L}"
+            )
 
     def predict_residue(self, point) -> int:
         """Estimated defining-function value mod p**E at one point."""

@@ -8,8 +8,10 @@ the inverse binomial matrix of the 1-d closed form
     c_i = sum_{j <= i} (-1)**(i - j) * C(i, j) * f(j)   (mod p**E),
 
 and a coefficient grid is evaluated by contracting every axis with the
-binomial-table rows of the query coordinates.  Table rows are gathered
-only here, and residue products are summed mod p**E only in _mulmod.
+binomial rows C(x, l) mod p**E of the query coordinates, made by
+BinomialTable.rows from the table's factorial unit parts; the inverse
+matrix is the same kernel's rows at x = 0, ..., n - 1.  Residue products
+are summed mod p**E only in _mulmod.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import padic
-from .padic import LearningParams, as_coordinates, as_points, binomial_table
+from .padic import BinomialTable, LearningParams, as_coordinates, as_points, binomial_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +63,7 @@ def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     every int64 sum below 2**52, by the bound asserted next to the caps in padic.py.
     """
     out = np.matmul(a, b)
-    out %= mod
+    padic.reduce_residues(out, mod)
     return out
 
 
@@ -85,19 +87,14 @@ def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
     coefficient of prod_d C(x_d, l_d).  The input grid is left untouched.
     """
     params, n = grid.params, grid.extent
-    mod = params.modulus
     idx = np.arange(n)
-    table = binomial_table(params.p, params.E, n - 1, n - 1).astype(np.int64)
-    inverse = np.where(np.add.outer(idx, idx) % 2, -table, table) % mod
-    return ResidueGrid(params, _contract(grid.data, [inverse] * params.D, mod))
+    inverse = binomial_table(params.p, params.E, n - 1, n - 1).rows(idx, n)
+    inverse[np.add.outer(idx, idx) % 2 == 1] *= -1
+    inverse %= params.modulus
+    return ResidueGrid(params, _contract(grid.data, [inverse] * params.D, params.modulus))
 
 
-def _gather(table: np.ndarray, idx: np.ndarray, ext: int) -> np.ndarray:
-    """Rows idx of a k-major table's view, columns below ext, as C-ordered int64."""
-    return table.T[:ext].take(idx, axis=1).T.astype(np.int64, order="C")
-
-
-def _table_rows(coeffs: ResidueGrid, table: np.ndarray) -> int:
+def _table_rows(coeffs: ResidueGrid, table: BinomialTable) -> int:
     """Row count of table, once its columns are known to cover coeffs."""
     kmax = table.shape[1] - 1
     if kmax < coeffs.extent - 1:
@@ -105,7 +102,7 @@ def _table_rows(coeffs: ResidueGrid, table: np.ndarray) -> int:
     return table.shape[0]
 
 
-def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray:
+def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndarray:
     """Truncated-series values over a product grid of query coordinates.
 
     axes is a D-sequence of 1-d integer arrays; the result has shape
@@ -125,7 +122,7 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
             raise ValueError(f"each axis must be a 1-d array, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= bound):
             raise ValueError(f"axis values must lie in [0, {bound})")
-        rows.append(_gather(table, arr, ext))
+        rows.append(table.rows(arr, ext))
     sides = [len(r) for r in rows]
     out = np.empty(sides, dtype=params.residue_dtype)
     if out.size == 0:
@@ -142,13 +139,13 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: np.ndarray) -> np.ndarray
     return out
 
 
-def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.ndarray:
+def evaluate_at_points(coeffs: ResidueGrid, points, table: BinomialTable) -> np.ndarray:
     """Truncated-series values at an (n, D) array of points.
 
     Points are grouped by their first coordinate; each group shares
     one partial contraction of the coefficient grid, so the per-point
     work drops from L**D to L**(D-1).  Groups are contracted in blocks
-    whose partials and gathered table rows together stay within
+    whose partials and binomial rows together stay within
     CHUNK_CELLS cells, and points in runs whose scratch arrays do.  At
     D <= 2 a run spans its block's groups, each point with its own partial
     row; at D >= 3 a run stays in one group and shares its partial.
@@ -161,16 +158,17 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
     uniq, starts = np.unique(spts[:, 0], return_index=True)
     run_bounds = np.append(starts, spts.shape[0])
     out = np.empty(pts.shape[0], dtype=coeffs.params.residue_dtype)
-    row = ext + (ext + 1) // 2  # a gathered table row: its int32 take and int64 copy
-    # per group, a block holds a gathered row and one partial; one block at a time
-    block = max(1, padic.CHUNK_CELLS // (row + ext ** (D - 1)))
-    # per point, beside a block's partials, a run holds a gathered row, an
-    # index and two successive partials (at D <= 2 its partial row and value)
-    per_point = row + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
+    # per group, a block holds the kernel's two cells per row entry, then a row
+    # and one partial; one block at a time
+    block = max(1, padic.CHUNK_CELLS // (ext + max(ext, ext ** (D - 1))))
+    # per point, beside a block's partials, a run holds the kernel's two cells
+    # per row entry, an index and two successive partials (at D <= 2 its
+    # partial row and value)
+    per_point = 2 * ext + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
     run = max(1, (padic.CHUNK_CELLS - min(block, uniq.size) * flat.shape[1]) // per_point)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]
-        partial = _mulmod(_gather(table, vs, ext), flat, mod)
+        partial = _mulmod(table.rows(vs, ext), flat, mod)
         bounds = run_bounds[b0 : b0 + vs.size + 1]
         spans = [(bounds[0], bounds[-1])] if D <= 2 else zip(bounds[:-1], bounds[1:])
         for beg, end in spans:
@@ -180,7 +178,7 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: np.ndarray) -> np.nda
                 acc = partial[grp] if D <= 2 else partial[grp[0] : grp[0] + 1]
                 for d in range(1, D):
                     acc = acc.reshape(len(acc), ext, -1)
-                    acc = _mulmod(_gather(table, seg[:, d], ext)[:, None], acc, mod)
+                    acc = _mulmod(table.rows(seg[:, d], ext)[:, None], acc, mod)
                 out[order[lo : lo + len(seg)]] = acc.reshape(-1)
         del partial  # before the next block's partials are computed
     return out

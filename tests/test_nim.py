@@ -169,7 +169,7 @@ class TestRunTask(object):
 
     def test_plane_slab_planner(self, monkeypatch):
         def slabs(rows, row_cells):
-            return chunk_ranges([(0, rows, row_cells)], "task 2 slab")[1]
+            return list(chunk_ranges([(0, rows, row_cells)], "task 2 slab")[1])
 
         monkeypatch.setattr(padic, "CHUNK_CELLS", 1 << 22)
         # task 2 at E=10: one x1 row of the plane holds 1024**(D-2) cells; D=1 is one row
@@ -193,7 +193,7 @@ class TestRunTask(object):
     def test_task2_slabs_match_one_sweep(self, small_estimate, monkeypatch):
         whole = run_task(small_estimate, 2)
         monkeypatch.setattr(padic, "CHUNK_CELLS", 64 * 5)
-        assert len(chunk_ranges([(0, 64, 64)], "task 2 slab")[1]) == 13
+        assert len(list(chunk_ranges([(0, 64, 64)], "task 2 slab")[1])) == 13
         sliced = run_task(small_estimate, 2)
         assert sliced.failures == whole.failures and sliced.trials == whole.trials
 

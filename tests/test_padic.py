@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import pascal_table, valuation
+from oracles import pascal_table, series_value, valuation
 
 from padiclearn import padic
 from padiclearn.learner import SampleSet, learn
@@ -124,12 +124,15 @@ class TestLearningParams:
         with pytest.raises(ValueError, match="supported modulus"):
             LearningParams(p=1048583, E=1, D=1, M=1)  # the first prime above 2**20
 
-    def test_table_cap_counts_the_window_columns(self):
-        # the model's table has p**E rows and L columns: 2**20 * 64 is the cap itself
-        assert LearningParams(p=2, E=20, D=1, M=100, L=64).L == 64
-        assert LearningParams(p=2, E=20, D=2, M=100, L=10).M == 100
-        with pytest.raises(ValueError, match=r"p\*\*E \* L exceeds the supported table size"):
-            LearningParams(p=2, E=20, D=1, M=100, L=65)
+    def test_wide_modulus_long_window_learns(self):
+        # p**E * L = 2**27 binomial entries: the model's table is its 2**20 rows alone
+        params = LearningParams(p=2, E=20, D=1, M=128)
+        rng = np.random.default_rng(5)
+        est = learn(SampleSet(params, rng.integers(0, 128, size=(40, 1))))
+        pts = rng.integers(0, params.modulus, size=(50, 1))
+        got = est.predict_residue_batch(pts)
+        for pt, residue in zip(pts, got):
+            assert residue == series_value(est.coeffs.data, pt, params.modulus)
 
     def test_rejects_non_integers(self):
         with pytest.raises(ValueError):
@@ -142,33 +145,42 @@ class TestLearningParams:
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def dense(table) -> np.ndarray:
+    """The table's whole (nmax + 1, kmax + 1) form, read through its row kernel."""
+    return table.rows(np.arange(table.shape[0]), table.shape[1])
+
+
+def comb_rows(xs, ext: int, mod: int) -> np.ndarray:
+    return np.array([[math.comb(int(x), l) % mod for l in range(ext)] for x in xs])
+
+
 class TestBinomialTable:
     def test_examples(self):
-        assert binomial_table(2, 10, 4, 2)[4, 2] == 6
-        assert binomial_table(2, 3, 10, 5)[10, 5] == 4
-        assert binomial_table(5, 1, 5, 2)[5, 2] == 0
+        assert dense(binomial_table(2, 10, 4, 2))[4, 2] == 6
+        assert dense(binomial_table(2, 3, 10, 5))[10, 5] == 4
+        assert dense(binomial_table(5, 1, 5, 2))[5, 2] == 0
 
     def test_matches_exact_binomials(self):
         rng = np.random.default_rng(4)
-        table = binomial_table(3, 4, 60, 40)
+        table = dense(binomial_table(3, 4, 60, 40))
         for _ in range(300):
             n = int(rng.integers(0, 61))
             k = int(rng.integers(0, 41))
             assert table[n, k] == math.comb(n, k) % 3**4
 
     def test_pascal_recurrence(self):
-        t = binomial_table(2, 5, 30, 20)
+        t = dense(binomial_table(2, 5, 30, 20))
         mod = 32
         assert np.array_equal(t[1:, 1:], (t[:-1, 1:] + t[:-1, :-1]) % mod)
 
     def test_zero_beyond_diagonal(self):
-        t = binomial_table(2, 4, 8, 8)
+        t = dense(binomial_table(2, 4, 8, 8))
         for n in range(9):
             for k in range(n + 1, 9):
                 assert t[n, k] == 0
 
     def test_first_column_ones(self):
-        t = binomial_table(7, 1, 12, 3)
+        t = dense(binomial_table(7, 1, 12, 3))
         assert np.array_equal(t[:, 0], np.ones(13, dtype=np.int64))
 
     def test_build_validation(self):
@@ -176,8 +188,11 @@ class TestBinomialTable:
             binomial_table(4, 2, 4, 4)
         with pytest.raises(ValueError):
             binomial_table(2, 40, 4, 4)
-        with pytest.raises(ValueError):
-            binomial_table(2, 2, 1 << 14, 1 << 13)  # capacity
+        # capacity: the arrays run over n <= nmax, whatever kmax is
+        with pytest.raises(ValueError, match="table of 1048577 rows exceeds the supported"):
+            binomial_table(2, 2, padic.MAX_MODULUS, 1)
+        widest = binomial_table(2, 2, padic.MAX_MODULUS - 1, 1 << 40)
+        assert widest.shape == (1 << 20, 1 + (1 << 40))
 
     def test_negative_bounds_rejected(self):
         for nmax, kmax in ((-1, 0), (0, -1)):
@@ -185,20 +200,22 @@ class TestBinomialTable:
                 binomial_table(2, 2, nmax, kmax)
 
     def test_long_columns_match_row_recurrence(self):
-        # the prefix sums of columns 2 and 3 pass 2**31 long before n = 3**12,
-        # so an int32 accumulator would wrap before the reduction
+        # every row of a 3**12-row table: the prefix products and the suffix
+        # from the one inverse cross hundreds of blocks of the build
         t = binomial_table(3, 12, 3**12 - 1, 3)
-        assert np.array_equal(t, pascal_table(3**12, 3**12 - 1, 3))
+        assert np.array_equal(dense(t), pascal_table(3**12, 3**12 - 1, 3))
 
-    def test_k_major_int32_storage(self):
+    def test_compact_int32_storage(self):
         t = binomial_table(2, 4, 8, 4)
-        assert isinstance(t, np.ndarray)
-        assert t.dtype == np.int32
         assert t.shape == (9, 5)
-        # t is the transposed view of one C-ordered (kmax + 1, nmax + 1) array
-        assert t.T.flags.c_contiguous
-        assert t.base is not None and t.base.shape == (5, 9)
-        assert np.array_equal(t, pascal_table(16, 8, 4))
+        # U, Uinv and V of t = -1, ..., 8, at index t + 1
+        for arr in (t.U, t.Uinv, t.V):
+            assert arr.dtype == np.int32 and arr.shape == (10,)
+        # 8! = 2**7 * 315 and 315 = 11 mod 16
+        assert t.U.tolist() == [1, 1, 1, 1, 3, 3, 15, 13, 11, 11]
+        assert t.V.tolist() == [-(2**30), 0, 0, 1, 1, 3, 3, 4, 4, 7]
+        assert (t.U[1:] * t.Uinv[1:] % 16).tolist() == [1] * 9
+        assert np.array_equal(dense(t), pascal_table(16, 8, 4))
 
     def test_build_peaks_near_table_size(self):
         tracemalloc.start()
@@ -207,9 +224,46 @@ class TestBinomialTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4-byte entries plus one int64 column of scratch; 8-byte entries fail
-        assert t.nbytes == 4 * t.size
-        assert peak < 1.25 * 4 * t.size
+        # three int32 entries per row, whatever kmax; 8-byte entries fail
+        size = t.U.nbytes + t.Uinv.nbytes + t.V.nbytes
+        assert size == 12 * (2**16 + 1)
+        assert peak < 1.25 * size
+
+
+class TestRowKernel:
+    """BinomialTable.rows against math.comb(x, l) % p**E."""
+
+    @pytest.mark.parametrize("p, E, L", [(2, 3, 16), (3, 2, 40), (5, 1, 12)])
+    def test_more_columns_than_rows(self, p, E, L):
+        mod = p**E
+        xs = np.arange(mod)
+        got = binomial_table(p, E, mod - 1, L - 1).rows(xs, L)
+        assert np.array_equal(got, comb_rows(xs, L, mod))
+        assert not got[:, mod:].any()
+
+    def test_largest_prime_at_e_one(self):
+        p = 65521  # below 2**16: no factor t < p carries a p
+        xs = np.array([0, 1, 2, 100, 32760, p - 2, p - 1])
+        got = binomial_table(p, 1, p - 1, 6).rows(xs, 7)
+        assert np.array_equal(got, comb_rows(xs, 7, p))
+
+    def test_largest_modulus_on_seeded_points(self):
+        mod = padic.MAX_MODULUS
+        xs = np.append(np.random.default_rng(6).integers(0, mod, size=40), [0, mod - 1])
+        got = binomial_table(2, 20, mod - 1, 63).rows(xs, 64)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, comb_rows(xs, 64, mod))
+
+    def test_rows_below_their_columns_vanish(self):
+        # x < l reads the t = -1 entry, whose V of -2**30 puts p**E in the product
+        xs = np.array([0, 1, 5, 9])
+        got = binomial_table(3, 3, 9, 11).rows(xs, 12)
+        assert np.array_equal(got, comb_rows(xs, 12, 27))
+        assert all(not got[i, x + 1 :].any() for i, x in enumerate(xs))
+
+    def test_no_points(self):
+        got = binomial_table(2, 4, 15, 3).rows(np.array([], dtype=np.int64), 4)
+        assert got.shape == (0, 4)
 
 
 class TestChunkRanges:
@@ -217,8 +271,10 @@ class TestChunkRanges:
         monkeypatch.setattr(padic, "CHUNK_CELLS", 100)
         # one row of the first level is over budget; the second fits 3 rows beside 40 cells
         levels = [(0, 4, 101), (40, 7, 20), (0, 9, 1)]
-        assert padic.chunk_ranges(levels, "slab") == (1, [(0, 3), (3, 6), (6, 7)])
-        assert padic.chunk_ranges(levels[2:], "slab") == (0, [(0, 9)])
+        level, slabs = padic.chunk_ranges(levels, "slab")
+        assert (level, list(slabs)) == (1, [(0, 3), (3, 6), (6, 7)])
+        level, slabs = padic.chunk_ranges(levels[2:], "slab")
+        assert (level, list(slabs)) == (0, [(0, 9)])
         # no level fits: the message names the smallest slab
         with pytest.raises(ValueError, match=r"^one grid slab holds 101 cells, over 100$"):
             padic.chunk_ranges([(90, 1, 12), (0, 5, 101)], "grid slab")
@@ -234,3 +290,16 @@ class TestChunkRanges:
             est.predict_residue_grid(axes)
         monkeypatch.setattr(padic, "CHUNK_CELLS", 2**7)
         assert np.array_equal(est.predict_residue_grid(axes), want)
+
+    def test_slabs_come_one_at_a_time(self, monkeypatch):
+        # 2**20 one-cell rows at a 2**9-cell budget are 2048 slabs: as a list
+        # of tuples they would hold about 30 budgets beside the sweep
+        monkeypatch.setattr(padic, "CHUNK_CELLS", 2**9)
+        tracemalloc.start()
+        try:
+            count = sum(hi - lo for lo, hi in padic.chunk_ranges([(0, 2**20, 1)], "slab")[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2**20
+        assert peak < 8 * 2**9
