@@ -10,8 +10,10 @@ the defining function mod p**E; a zero residue is the membership verdict.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import zlib
+import lzma
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +119,20 @@ class DefiningFunctionEstimate:
         return evaluate_on_grid(self.coeffs, axes, self.table)
 
     def save(self, path):
-        """Write the model file, in the format of write_coefficient_rows."""
-        with open(path, "wb") as fh:
-            write_coefficient_rows(fh, self.params, self.coeffs.data)
+        """Write the model file, in the format of write_coefficient_rows.
+
+        The file is written beside path and moved over it only when complete,
+        so a save that fails leaves whatever model was there.
+        """
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                write_coefficient_rows(fh, self.params, self.coeffs.data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "DefiningFunctionEstimate":
@@ -132,32 +145,60 @@ class DefiningFunctionEstimate:
 # The model file.  These two stay apart from save and load because
 # perfbench/tracer.py times the format by their names.
 
+# stream bytes in and window bytes out per decoder call; CPython hands back a
+# full output piece of its first block size, 32 KiB, without copying it
+_PIECE = 1 << 15
 
-def _digest(fields: bytes, body: bytes) -> bytes:
-    return hashlib.blake2b(fields + b"\n" + body, digest_size=16).hexdigest().encode()
+
+def _lzma2(dtype: np.dtype, size: int) -> dict:
+    """The one LZMA2 filter: its dictionary spans the window, between 4 KiB and 8 MiB."""
+    k = dtype.itemsize.bit_length() - 1  # literal and position bits align to a residue
+    dict_size = min(8 << 20, max(4 << 10, size))
+    return dict(id=lzma.FILTER_LZMA2, preset=6, lc=0, lp=k, pb=k, dict_size=dict_size)
+
+
+def _stream_bound(size: int) -> int:
+    """The longest LZMA2 stream the encoder writes for size bytes.
+
+    A chunk holds at most 64 KiB behind a header of at most 6 bytes, and is
+    stored raw unless compressing shrinks it; the encoder may close chunks
+    short of 64 KiB, so allow two more than a full split, then the end byte.
+    """
+    return size + 6 * ((size >> 16) + 2) + 1
+
+
+def _digest(fields: bytes, body) -> bytes:
+    h = hashlib.blake2b(fields + b"\n", digest_size=16)
+    h.update(body)
+    return h.hexdigest().encode()
 
 
 def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
-    """Write the text line `p E D M L <digest>`, then the L**D window as one zlib stream.
+    """Write the text line `p E D M L <digest>`, then the L**D window as one raw LZMA2 stream.
 
-    The window is deflated in row-major order as little-endian params.residue_dtype
-    bytes, at zlib's default level; the digest is a hex blake2b over the five header
-    fields and the raw window, so it does not depend on the zlib build.
+    The window is compressed in row-major order as little-endian params.residue_dtype
+    bytes, by the filter of _lzma2, which the header's fields determine; the digest is
+    a hex blake2b over the five header fields and the raw window, so it does not
+    depend on the liblzma build.
     """
     fields = f"{params.p} {params.E} {params.D} {params.M} {params.L}".encode()
-    raw = window.astype(params.residue_dtype).tobytes()
-    fh.write(fields + b" " + _digest(fields, raw) + b"\n" + zlib.compress(raw))
+    raw = np.ascontiguousarray(window, params.residue_dtype).reshape(-1).view(np.uint8)
+    fh.write(fields + b" " + _digest(fields, raw) + b"\n")
+    filters = [_lzma2(params.residue_dtype, raw.size)]
+    fh.write(lzma.compress(raw, format=lzma.FORMAT_RAW, filters=filters))
 
 
 def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     """Params and L**D window of a model file, checked against its digest.
 
-    Reads at most zlib's compressBound of the window size plus one byte and
-    inflates at most one byte past the window, so a huge, corrupt or bomb
-    file costs bounded memory.  Raises ValueError, in this order, for a body
-    that is not a valid zlib stream, a window of the wrong size, a truncated
-    or overlong stream, bytes after the stream and a digest mismatch.
-    ResidueGrid checks the value range.
+    Reads at most an LZMA2 bound of the window size plus one byte and decodes
+    at most one byte past the window, _PIECE bytes per call into one buffer,
+    so a huge, corrupt or bomb file costs bounded memory: the stream, the
+    window, the decoder's dictionary and a few pieces.  Raises ValueError, in
+    this order, for a body that is not a valid LZMA2 stream (as every zlib
+    model is), a window of the wrong size, a truncated or overlong stream,
+    bytes after the stream and a digest mismatch.  ResidueGrid checks the
+    value range.
     """
     line = fh.readline(128)  # far longer than any header the caps admit
     head = line.split()
@@ -169,23 +210,34 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         raise ValueError(f"bad model header {line!r}: {exc}") from exc
     dtype = params.residue_dtype
     size = params.L**params.D * dtype.itemsize
-    bound = size + (size >> 12) + (size >> 14) + (size >> 25) + 13  # zlib's compressBound
-    stream = fh.read(bound + 1)
-    inflater = zlib.decompressobj()
+    bound = _stream_bound(size)
+    stream = memoryview(fh.read(bound + 1))
+    decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[_lzma2(dtype, size)])
+    body = np.empty(size + 1, np.uint8)
+    got = used = 0
     try:
-        body = inflater.decompress(stream, size + 1)
-    except zlib.error as exc:
+        while not decoder.eof and got <= size and (used < len(stream) or not decoder.needs_input):
+            piece = stream[used : used + _PIECE] if decoder.needs_input else b""
+            used += len(piece)
+            out = decoder.decompress(piece, min(_PIECE, size + 1 - got))
+            body[got : got + len(out)] = np.frombuffer(out, np.uint8)
+            got += len(out)
+        if decoder.eof and not got:  # the end byte alone: no window is empty
+            raise lzma.LZMAError("the stream ends before any data")
+    except lzma.LZMAError as exc:
         raise ValueError(
-            f"model body is not a valid zlib stream ({exc}); uncompressed models no longer load"
+            f"model body is not a valid LZMA2 stream ({exc}); zlib and uncompressed"
+            " models no longer load"
         ) from exc
-    if len(body) > size or (inflater.eof and len(body) < size):
-        got = "more" if len(body) > size else len(body)
-        raise ValueError(f"model body must be {size} bytes, L**D {dtype.name} values, got {got}")
-    if not inflater.eof:
+    if got > size or (decoder.eof and got < size):
+        n = "more" if got > size else got
+        raise ValueError(f"model body must be {size} bytes, L**D {dtype.name} values, got {n}")
+    if not decoder.eof:
         why = f"runs past {bound} bytes" if len(stream) > bound else "is truncated"
-        raise ValueError(f"model body's zlib stream {why}")
-    if inflater.unused_data:
-        raise ValueError("model body has bytes after its zlib stream")
-    if _digest(b" ".join(head[:5]), body) != head[5]:
+        raise ValueError(f"model body's LZMA2 stream {why}")
+    if decoder.unused_data or used < len(stream):
+        raise ValueError("model body has bytes after its LZMA2 stream")
+    window = body[:size]
+    if _digest(b" ".join(head[:5]), window) != head[5]:
         raise ValueError("model digest does not match its header and body")
-    return params, np.frombuffer(body, dtype).reshape((params.L,) * params.D)
+    return params, window.view(dtype).reshape((params.L,) * params.D)

@@ -1,5 +1,6 @@
 """Exact reference computations that share no code with padiclearn."""
 
+import lzma
 import math
 
 import numpy as np
@@ -89,3 +90,13 @@ def trie_node_count(points, p: int, E: int) -> int:
                 string.append(digit)
         prefixes.update(tuple(string[:i]) for i in range(1, len(string) + 1))
     return 1 + len(prefixes)
+
+
+def raw_lzma2(data: bytes) -> bytes:
+    """One raw LZMA2 stream of data at liblzma's defaults, not the model's filter.
+
+    Its 4 KiB dictionary is the smallest a model's decoder uses, so a model
+    body made of it decodes whatever its window size.
+    """
+    filters = [{"id": lzma.FILTER_LZMA2, "dict_size": 4 << 10}]
+    return lzma.compress(data, format=lzma.FORMAT_RAW, filters=filters)

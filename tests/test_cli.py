@@ -2,9 +2,11 @@ import zlib
 
 import numpy as np
 import pytest
+from oracles import raw_lzma2
 
 from padiclearn import nim
 from padiclearn.cli import parse_and_dispatch, read_sample_file, write_sample_file
+from padiclearn.learner import read_coefficient_rows
 
 SMALL = ["--p", "2", "--E", "6", "--D", "3", "--M", "16"]
 
@@ -146,8 +148,9 @@ class TestPipeline:
         flags = ["--p", "3", "--E", "3", "--D", "2", "--M", "5", "--L", "4"]
         assert run("learn", *flags, "--in", str(samples), "--out", str(model)) == 0
         assert run("dump-coeffs", "--in", str(model), "--out", str(dump)) == 0
-        head, stream = model.read_bytes().split(b"\n", 1)
-        body = zlib.decompress(stream)
+        head = model.read_bytes().split(b"\n", 1)[0]
+        with open(model, "rb") as fh:
+            body = read_coefficient_rows(fh)[1].tobytes()
         dump_head, *rows = dump.read_text().splitlines()
         assert head.split()[:5] == [b"3", b"3", b"2", b"5", b"4"]
         assert dump_head == "3 3 2 4"
@@ -206,12 +209,14 @@ class TestErrors:
         flags = ["--p", "2", "--E", "3", "--D", "1", "--M", "4"]
         assert run("learn", *flags, "--in", str(samples), "--out", str(model)) == 0
         head, stream = model.read_bytes().split(b"\n", 1)
-        window = zlib.decompress(stream)
+        with open(model, "rb") as fh:
+            window = read_coefficient_rows(fh)[1].tobytes()
         cases = [
             (stream[:-2], "truncated"),
             (stream + b"\x00", "bytes after"),
-            (zlib.compress(window * 2), "got more"),
+            (raw_lzma2(window * 2), "got more"),
             (window, "uncompressed models no longer load"),
+            (zlib.compress(window), "zlib and uncompressed models no longer load"),
         ]
         for body, message in cases:
             model.write_bytes(head + b"\n" + body)

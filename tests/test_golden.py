@@ -2,18 +2,17 @@
 
 Each digest is a blake2b over bytes the pipeline produces, so a change to
 any coefficient, residue or report byte fails here.  A model's digest
-covers its header line and its inflated window: the deflated bytes depend
-on the zlib build, while the header and window do not.  A digest may
+covers its header line and its decoded window: the LZMA2 bytes depend on
+the liblzma build, while the header and window do not.  A digest may
 change only together with a stated break of the model or report format.
 """
 
 import hashlib
-import zlib
 
 import numpy as np
 import pytest
 
-from padiclearn.learner import SampleSet, learn
+from padiclearn.learner import SampleSet, learn, read_coefficient_rows
 from padiclearn.nim import run_task
 from padiclearn.padic import LearningParams
 
@@ -23,9 +22,11 @@ def digest(data: bytes) -> str:
 
 
 def model_bytes(path) -> bytes:
-    """The model file's header line and its window, inflated."""
-    head, stream = path.read_bytes().split(b"\n", 1)
-    return head + b"\n" + zlib.decompress(stream)
+    """The model file's header line and its window, read through read_coefficient_rows."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        fh.seek(0)
+        return head + read_coefficient_rows(fh)[1].tobytes()
 
 
 def residue_bytes(residues) -> bytes:
@@ -185,8 +186,9 @@ def test_stock_model_digest(benchmark_estimate, tmp_path):
     path = tmp_path / "model.bin"
     benchmark_estimate.save(path)
     assert digest(model_bytes(path)) == "ba219c91f5985d38e588ddeae8e81781"
-    # 2,000,048 bytes uncompressed; 168,046 with zlib 1.2.13, other builds differ a little
-    assert path.stat().st_size < 200_000
+    # 2,000,048 bytes uncompressed, 168,046 as zlib 1.2.13 deflated it; 59,043
+    # with liblzma 5.4.1, other builds may differ a little
+    assert path.stat().st_size < 70_000
 
 
 # stock report text: tasks 2 and 4 exhaustive, tasks 1 and 3 at 200 trials

@@ -1,13 +1,15 @@
 import io
 import itertools
+import lzma
+import os
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from oracles import mahler_coeffs_1d, series_value, valuation
+from oracles import mahler_coeffs_1d, raw_lzma2, series_value, valuation
 
-from padiclearn import mahler
+from padiclearn import learner, mahler
 from padiclearn.learner import (
     DefiningFunctionEstimate,
     SampleSet,
@@ -24,6 +26,12 @@ from padiclearn.trie import PadicTrie
 def same_table(a, b) -> bool:
     fields = ("p", "E", "shape", "U", "Uinv", "V")
     return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+def model_window(path) -> bytes:
+    """The raw window of a model file, read through read_coefficient_rows."""
+    with open(path, "rb") as fh:
+        return read_coefficient_rows(fh)[1].tobytes()
 
 
 def random_setup(rng, max_E=5, max_D=3, max_M=6):
@@ -344,8 +352,8 @@ class TestPersistence:
         est = learn(SampleSet(params, rng.integers(0, 6, size=(9, 3))))
         path = tmp_path / "model.bin"
         est.save(path)
-        # the window inflates to one byte per value: p**E - 1 = 31 fits uint8
-        assert len(zlib.decompress(path.read_bytes().split(b"\n", 1)[1])) == 3**3
+        # the window holds one byte per value: p**E - 1 = 31 fits uint8
+        assert len(model_window(path)) == 3**3
         back = DefiningFunctionEstimate.load(path)
         assert back.params == est.params
         assert np.array_equal(back.coeffs.data, est.coeffs.data)
@@ -358,9 +366,9 @@ class TestPersistence:
         est = learn(SampleSet(LearningParams(p=2, E=2, D=1, M=2), [(0,)]))
         path = tmp_path / "model.bin"
         est.save(path)
-        head, stream = path.read_bytes().split(b"\n", 1)
-        # the compressed bytes depend on the zlib build; header and window do not
-        assert head + b"\n" + zlib.decompress(stream) == (
+        head = path.read_bytes().split(b"\n", 1)[0]
+        # the compressed bytes depend on the liblzma build; header and window do not
+        assert head + b"\n" + model_window(path) == (
             b"2 2 1 2 2 d91b44947c0e7d464d6ba8b3ed39bf14\n\x00\x01"
         )
 
@@ -380,7 +388,7 @@ class TestPersistence:
         est = learn(SampleSet(params, [(0, 1), (2, 2)]))
         path = tmp_path / "model.bin"
         est.save(path)
-        body = zlib.decompress(path.read_bytes().split(b"\n", 1)[1])
+        body = model_window(path)
         assert body == est.coeffs.data.astype(np.dtype(dtype).newbyteorder("<")).tobytes()
         assert len(body) == 9 * np.dtype(dtype).itemsize
         assert np.array_equal(DefiningFunctionEstimate.load(path).coeffs.data, est.coeffs.data)
@@ -393,15 +401,84 @@ class TestPersistence:
         assert type(est.predict_residue((5, 7))) is int
 
     def test_incompressible_window_round_trip(self):
-        # random bytes deflate to stored blocks, the longest stream the read admits
+        # random bytes are stored as raw chunks, the longest stream the read admits
         params = LearningParams(p=2, E=8, D=2, M=256)
         window = np.random.default_rng(39).integers(0, 256, size=(256, 256))
         buf = io.BytesIO()
         write_coefficient_rows(buf, params, window)
-        assert len(buf.getvalue().split(b"\n", 1)[1]) > 256**2
+        assert 256**2 < len(buf.getvalue().split(b"\n", 1)[1]) <= learner._stream_bound(256**2)
         buf.seek(0)
         back_params, back = read_coefficient_rows(buf)
         assert back_params == params and np.array_equal(back, window)
+
+    @pytest.mark.parametrize("size", [65_535, 65_536, 65_537, 2**21 - 1, 2**21 + 1])
+    def test_incompressible_stream_fits_the_read_bound(self, size):
+        # sizes at the 64 KiB raw-chunk and 2 MiB compressed-chunk edges, which no
+        # window of L**D cells hits exactly, so the model's filter runs on bytes
+        raw = np.random.default_rng(size).bytes(size)
+        filters = [learner._lzma2(np.dtype(np.uint8), size)]
+        stream = lzma.compress(raw, format=lzma.FORMAT_RAW, filters=filters)
+        assert size < len(stream) <= learner._stream_bound(size)
+        decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=filters)
+        assert decoder.decompress(stream) == raw and decoder.eof
+
+    def test_one_cell_window_round_trip(self):
+        # one byte of window under the 4 KiB dictionary floor
+        params = LearningParams(p=2, E=2, D=1, M=1)
+        assert learner._lzma2(params.residue_dtype, 1)["dict_size"] == 4096
+        buf = io.BytesIO()
+        write_coefficient_rows(buf, params, np.array([3]))
+        buf.seek(0)
+        back_params, back = read_coefficient_rows(buf)
+        assert back_params == params and back.tolist() == [3]
+
+    def test_load_peak_is_stream_window_and_dictionary(self, tmp_path):
+        # 1 MiB of sparse values: a window copy or a whole-window decode output
+        # buffer beside the result would add 1 MiB to the traced peak
+        params = LearningParams(p=2, E=8, D=2, M=1024)
+        rng = np.random.default_rng(41)
+        window = rng.integers(0, 256, size=(1024, 1024)) * (rng.random((1024, 1024)) < 0.25)
+        path = tmp_path / "model.bin"
+        with open(path, "wb") as fh:
+            write_coefficient_rows(fh, params, window)
+        stream = len(path.read_bytes().split(b"\n", 1)[1])
+        size = 1024**2
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                back = read_coefficient_rows(fh)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, window)
+        # the stream, the window plus one byte, the decoder's dictionary (the window
+        # size here) and its 32 KiB of state, and per call an input tail, an output
+        # piece and its copy when short, then 64 KiB for small objects
+        assert peak < stream + (size + 1) + size + 4 * learner._PIECE + 2**16
+
+    def test_failed_save_keeps_the_old_model(self, tmp_path, monkeypatch):
+        params = LearningParams(p=2, E=4, D=2, M=4)
+        est = learn(SampleSet(params, [(0, 1), (2, 2), (3, 0)]))
+        other = learn(SampleSet(params, [(1, 1)]))
+        path = tmp_path / "model.bin"
+        est.save(path)
+        before = path.read_bytes()
+
+        def failing_compress(*args, **kwargs):
+            raise OSError("disk full")
+
+        # the header line is written by then, so a save in place would leave half a file
+        monkeypatch.setattr(lzma, "compress", failing_compress)
+        with pytest.raises(OSError, match="disk full"):
+            other.save(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.bin"]
+        back = DefiningFunctionEstimate.load(path)
+        assert np.array_equal(back.coeffs.data, est.coeffs.data)
+        other.save(path)
+        assert np.array_equal(DefiningFunctionEstimate.load(path).coeffs.data, other.coeffs.data)
+        assert os.listdir(tmp_path) == ["model.bin"]
 
     def _saved(self, tmp_path):
         params = LearningParams(p=2, E=4, D=2, M=4)
@@ -413,11 +490,11 @@ class TestPersistence:
 
     def test_flipped_body_byte_rejected(self, tmp_path):
         path, head, stream = self._saved(tmp_path)
-        window = zlib.decompress(stream)
+        window = model_window(path)
         for i in (0, 7, len(window) - 1):
             # values stay below 16 and the stream is well formed, so only the digest can tell
             flipped = window[:i] + bytes([window[i] ^ 1]) + window[i + 1 :]
-            path.write_bytes(head + b"\n" + zlib.compress(flipped))
+            path.write_bytes(head + b"\n" + raw_lzma2(flipped))
             with pytest.raises(ValueError, match="digest"):
                 DefiningFunctionEstimate.load(path)
 
@@ -437,28 +514,28 @@ class TestPersistence:
 
     def test_body_one_byte_short_or_long(self, tmp_path):
         path, head, stream = self._saved(tmp_path)
-        window = zlib.decompress(stream)
+        window = model_window(path)
         for bad, got in [(window[:-1], "got 15"), (window + b"\x00", "got more")]:
-            path.write_bytes(head + b"\n" + zlib.compress(bad))
+            path.write_bytes(head + b"\n" + raw_lzma2(bad))
             with pytest.raises(ValueError, match=rf"must be 16 bytes, L\*\*D uint8 values, {got}"):
                 DefiningFunctionEstimate.load(path)
 
     def test_malformed_stream_rejected(self, tmp_path):
         path, head, stream = self._saved(tmp_path)
-        window = zlib.decompress(stream)
-        # a flip in the zlib header or the adler32 trailer; one inside the deflate
-        # data may decode to the same window, which then loads as the same model
-        flips = [
-            stream[:i] + bytes([stream[i] ^ 1]) + stream[i + 1 :]
-            for i in (0, 1, len(stream) - 4, len(stream) - 1)
-        ]
-        cases = [(body, "not a valid zlib stream") for body in flips] + [
-            (window, "not a valid zlib stream.*uncompressed models no longer load"),
-            (stream[:-1], "zlib stream is truncated"),
-            (stream[: len(stream) // 2], "zlib stream is truncated"),
-            (b"", "zlib stream is truncated"),
-            (stream + b"\x00", "bytes after its zlib stream"),
-            (stream + stream, "bytes after its zlib stream"),
+        window = model_window(path)
+        # control bytes LZMA2 forbids: the end byte first, a first chunk that keeps
+        # a dictionary it never had (raw or compressed), an unassigned value; LZMA2
+        # has no checksum, so a flip inside chunk data is left to the digest
+        invalid = [b"\x00" + stream[1:], b"\x02" + stream[1:], b"\x80" + stream[1:]]
+        invalid.append(stream[:-1] + b"\x03")
+        cases = [(body, "not a valid LZMA2 stream") for body in invalid] + [
+            (window, "not a valid LZMA2 stream.*uncompressed models no longer load"),
+            (zlib.compress(window), "not a valid LZMA2 stream.*zlib .*models no longer load"),
+            (stream[:-1], "LZMA2 stream is truncated"),
+            (stream[: len(stream) // 2], "LZMA2 stream is truncated"),
+            (b"", "LZMA2 stream is truncated"),
+            (stream + b"\x00", "bytes after its LZMA2 stream"),
+            (stream + stream, "bytes after its LZMA2 stream"),
         ]
         for body, message in cases:
             path.write_bytes(head + b"\n" + body)
@@ -466,28 +543,28 @@ class TestPersistence:
                 DefiningFunctionEstimate.load(path)
 
     def test_stream_past_compress_bound_rejected(self, tmp_path):
-        # one sync flush per window byte: a valid stream, longer than any
-        # zlib.compress output of 16 bytes, so the read stops at the bound
+        # one raw chunk per window byte (control, 2-byte size - 1, the byte): a
+        # valid stream of 65 bytes, longer than any encoder output for 16 bytes,
+        # so the read stops at the bound of 16 + 6 * 2 + 1
         path, head, stream = self._saved(tmp_path)
-        deflater = zlib.compressobj()
-        body = b"".join(
-            deflater.compress(bytes([v])) + deflater.flush(zlib.Z_SYNC_FLUSH)
-            for v in zlib.decompress(stream)
-        )
-        body += deflater.flush()
-        assert zlib.decompress(body) == zlib.decompress(stream)
+        window = model_window(path)
+        body = b"".join(bytes([1 if i == 0 else 2, 0, 0, v]) for i, v in enumerate(window))
+        body += b"\x00"
+        filters = [{"id": lzma.FILTER_LZMA2}]
+        assert lzma.decompress(body, lzma.FORMAT_RAW, filters=filters) == window
         fh = io.BytesIO(head + b"\n" + body)
-        with pytest.raises(ValueError, match="zlib stream runs past 29 bytes"):
+        with pytest.raises(ValueError, match="LZMA2 stream runs past 29 bytes"):
             read_coefficient_rows(fh)
         assert fh.tell() == len(head) + 1 + 29 + 1
 
     def test_long_body_read_is_bounded(self, tmp_path):
-        # a decompression bomb: a valid stream that inflates to 64 MiB under a
+        # a decompression bomb: a valid stream that decodes to 64 MiB under a
         # 16-byte-window header
         path, head, stream = self._saved(tmp_path)
-        deflater = zlib.compressobj(1)
+        filters = [{"id": lzma.FILTER_LZMA2, "preset": 0}]
+        encoder = lzma.LZMACompressor(lzma.FORMAT_RAW, filters=filters)
         zeros = bytes(1 << 20)
-        bomb = b"".join(deflater.compress(zeros) for _ in range(64)) + deflater.flush()
+        bomb = b"".join(encoder.compress(zeros) for _ in range(64)) + encoder.flush()
         fh = io.BytesIO(head + b"\n" + bomb)
         tracemalloc.start()
         try:
@@ -497,7 +574,7 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert fh.tell() <= len(head) + 1 + 16 + 13 + 1
+        assert fh.tell() <= len(head) + 1 + 29 + 1
 
     def test_cutoff_header_with_outside_coefficients_rejected(self, tmp_path):
         # the M**D window under an L < M header fails the L**D window size
@@ -543,7 +620,7 @@ class TestPersistence:
         # or no body at all
         head = bad.read_bytes().split(b"\n", 1)[0]
         bad.write_bytes(head + b"\n")
-        with pytest.raises(ValueError, match="zlib stream is truncated"):
+        with pytest.raises(ValueError, match="LZMA2 stream is truncated"):
             DefiningFunctionEstimate.load(bad)
 
     def test_indexed_model_rejected(self, tmp_path):
