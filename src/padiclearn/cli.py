@@ -50,8 +50,14 @@ def read_sample_file(path, D: int) -> np.ndarray:
     return np.asarray(points, dtype=np.int64)
 
 
+_PARAM_FLAGS = ("p", "E", "D", "M", "L")
+
+
 def _params_from_args(args) -> LearningParams:
-    return LearningParams(p=args.p, E=args.E, D=args.D, M=args.M, L=args.L)
+    """The flags' params; an unset flag takes BENCHMARK_PARAMS', and an unset L takes M."""
+    stock = {f: getattr(BENCHMARK_PARAMS, f) for f in ("p", "E", "D", "M")}
+    given = {f: getattr(args, f) for f in _PARAM_FLAGS if getattr(args, f) is not None}
+    return LearningParams(**(stock | given))
 
 
 def _parse_point(text: str, D: int) -> tuple[int, ...]:
@@ -91,6 +97,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_bench(args) -> int:
     if args.in_path:
+        flags = [f"--{f}" for f in _PARAM_FLAGS if getattr(args, f) is not None]
+        if flags:
+            raise ValueError(f"{' '.join(flags)} conflict with --in: bench uses the model's params")
         est = DefiningFunctionEstimate.load(args.in_path)
     else:
         params = _params_from_args(args)
@@ -117,11 +126,12 @@ def _cmd_dump_coeffs(args) -> int:
 
 
 def _add_param_flags(sub):
-    sub.add_argument("--p", type=int, default=BENCHMARK_PARAMS.p, help="prime base")
-    sub.add_argument("--E", type=int, default=BENCHMARK_PARAMS.E, help="precision exponent")
-    sub.add_argument("--D", type=int, default=BENCHMARK_PARAMS.D, help="dimension")
-    sub.add_argument("--M", type=int, default=BENCHMARK_PARAMS.M, help="grid bound per axis")
-    sub.add_argument("--L", type=int, default=None, help="coefficient cutoff (default: M)")
+    stock = BENCHMARK_PARAMS
+    sub.add_argument("--p", type=int, help=f"prime base (default: {stock.p})")
+    sub.add_argument("--E", type=int, help=f"precision exponent (default: {stock.E})")
+    sub.add_argument("--D", type=int, help=f"dimension (default: {stock.D})")
+    sub.add_argument("--M", type=int, help=f"grid bound per axis (default: {stock.M})")
+    sub.add_argument("--L", type=int, help="coefficient cutoff (default: M)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -173,19 +173,79 @@ def _digest(fields: bytes, body) -> bytes:
     return h.hexdigest().encode()
 
 
+def _row_major(params: LearningParams) -> bool:
+    """Whether the digit order of _digit_slabs is plain row-major: D = 1 or L <= p."""
+    return params.D == 1 or params.L <= params.p
+
+
+def _digit_slabs(params: LearningParams):
+    """Yield (lo, hi, pos): row-major window cells lo..hi-1 sit at body positions pos.
+
+    The body orders the L**D cells by their base-p digits interleaved across the
+    axes, high digits first, by the key (digit_{n-1}(x_0), ..., digit_{n-1}(x_{D-1}),
+    ..., digit_0(x_0), ..., digit_0(x_{D-1})) with p**n >= L, so each p**k-sided block
+    of the window lies in one run.  A cell's position counts the cells of smaller key:
+    with F_e(v) = min(L - v // p**e * p**e, p**e), the window values that share v's
+    digits from e up, and A_e(v) = digit_e(v) * p**e,
+
+        pos(x) = sum_{e<n} sum_{d<D} A_e(x_d) prod_{d'<d} F_e(x_d') prod_{d'>d} F_{e+1}(x_d').
+
+    The axes split into leading ones and a trailing block of at most _PIECE // 8
+    cells.  Per digit e, the trailing axes give rows z_e, w_e by the outer products
+    z = F_e x z + A_e x w, w = F_{e+1} x w, last axis first; each leading index
+    gives P_e = prod F_e and Q_e by the same recurrence, for every e at once.  A
+    slab of at most _PIECE // 8 cells is then sum_e P_e z_e + Q_e w_e, one matrix
+    product.  Every partial sum is an integer below L**D <= 2**24, exact in float64.
+    """
+    p, D, L = params.p, params.D, params.L
+    n = 1
+    while p**n < L:
+        n += 1
+    pe = p ** np.arange(n + 1.0)[:, None]  # p**e, one row per e
+    v = np.arange(L)
+
+    def digits(x, power):
+        """F_e(x) and A_e(x) for power = p**e, as float64."""
+        return np.minimum(L - x // power * power, power), x // power % p * power
+
+    s = next(s for s in range(1, D + 1) if L ** (D - s) <= _PIECE // 8)
+    tail = np.empty((2 * n, L ** (D - s)))
+    for e in range(n):
+        (F, A), G = digits(v, pe[e]), digits(v, pe[e + 1])[0]
+        z, w = np.zeros(1), np.ones(1)
+        for _ in range(D - s):
+            z = (np.multiply.outer(F, z) + np.multiply.outer(A, w)).ravel()
+            w = np.multiply.outer(G, w).ravel()
+        tail[e], tail[n + e] = z, w
+    cols = tail.shape[1]
+    step = _PIECE // 8 // cols
+    for a in range(0, L**s, step):
+        P, Q = 1, 0
+        for x in np.unravel_index(np.arange(a, min(a + step, L**s)), (L,) * s):
+            F, A = digits(x, pe)
+            P, Q = P * F[:-1], P * A[:-1] + Q * F[1:]
+        pos = (np.concatenate([P, Q]).T @ tail).astype(np.intp).ravel()
+        yield a * cols, a * cols + pos.size, pos
+
+
 def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     """Write the text line `p E D M L <digest>`, then the L**D window as one raw LZMA2 stream.
 
-    The window is compressed in row-major order as little-endian params.residue_dtype
-    bytes, by the filter of _lzma2, which the header's fields determine; the digest is
-    a hex blake2b over the five header fields and the raw window, so it does not
-    depend on the liblzma build.
+    The window goes in the digit order of _digit_slabs as little-endian
+    params.residue_dtype values, compressed by the filter of _lzma2; the header's
+    fields determine both.  The digest is a hex blake2b over the five header fields
+    and the row-major window, so it depends on neither the order nor the liblzma build.
     """
     fields = f"{params.p} {params.E} {params.D} {params.M} {params.L}".encode()
-    raw = np.ascontiguousarray(window, params.residue_dtype).reshape(-1).view(np.uint8)
-    fh.write(fields + b" " + _digest(fields, raw) + b"\n")
-    filters = [_lzma2(params.residue_dtype, raw.size)]
-    fh.write(lzma.compress(raw, format=lzma.FORMAT_RAW, filters=filters))
+    cells = np.ascontiguousarray(window, params.residue_dtype).reshape(-1)
+    fh.write(fields + b" " + _digest(fields, cells.view(np.uint8)) + b"\n")
+    body = cells
+    if not _row_major(params):
+        body = np.empty_like(cells)
+        for lo, hi, pos in _digit_slabs(params):
+            body[pos] = cells[lo:hi]
+    filters = [_lzma2(params.residue_dtype, body.nbytes)]
+    fh.write(lzma.compress(body.view(np.uint8), format=lzma.FORMAT_RAW, filters=filters))
 
 
 def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
@@ -194,7 +254,9 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     Reads at most an LZMA2 bound of the window size plus one byte and decodes
     at most one byte past the window, _PIECE bytes per call into one buffer,
     so a huge, corrupt or bomb file costs bounded memory: the stream, the
-    window, the decoder's dictionary and a few pieces.  Raises ValueError, in
+    body, the decoder's dictionary and a few pieces.  The stream and decoder
+    go before the body is put back in row-major order, slab by slab of
+    _digit_slabs into the window.  Raises ValueError, in
     this order, for a body that is not a valid LZMA2 stream (as every zlib
     model is), a window of the wrong size, a truncated or overlong stream,
     bytes after the stream and a digest mismatch.  ResidueGrid checks the
@@ -215,6 +277,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[_lzma2(dtype, size)])
     body = np.empty(size + 1, np.uint8)
     got = used = 0
+    piece = b""
     try:
         while not decoder.eof and got <= size and (used < len(stream) or not decoder.needs_input):
             piece = stream[used : used + _PIECE] if decoder.needs_input else b""
@@ -237,7 +300,14 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         raise ValueError(f"model body's LZMA2 stream {why}")
     if decoder.unused_data or used < len(stream):
         raise ValueError("model body has bytes after its LZMA2 stream")
-    window = body[:size]
-    if _digest(b" ".join(head[:5]), window) != head[5]:
-        raise ValueError("model digest does not match its header and body")
-    return params, window.view(dtype).reshape((params.L,) * params.D)
+    del decoder, stream, piece  # the last piece is a view that keeps the stream alive
+    window = body = body[:size].view(dtype)
+    older = ""
+    if not _row_major(params):
+        window = np.empty_like(body)
+        for lo, hi, pos in _digit_slabs(params):
+            window[lo:hi] = body[pos]
+        older = ", or a model saved before bodies were digit-ordered; re-save it"
+    if _digest(b" ".join(head[:5]), window.view(np.uint8)) != head[5]:
+        raise ValueError(f"model digest does not match its header and body{older}")
+    return params, window.reshape((params.L,) * params.D)

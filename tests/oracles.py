@@ -1,5 +1,6 @@
 """Exact reference computations that share no code with padiclearn."""
 
+import itertools
 import lzma
 import math
 
@@ -100,3 +101,20 @@ def raw_lzma2(data: bytes) -> bytes:
     """
     filters = [{"id": lzma.FILTER_LZMA2, "dict_size": 4 << 10}]
     return lzma.compress(data, format=lzma.FORMAT_RAW, filters=filters)
+
+
+def digit_order(p: int, D: int, L: int) -> np.ndarray:
+    """Row-major indices of the [0, L)**D cells in base-p digit-interleaved order.
+
+    The argsort of each cell's key: the digits of its coordinates from the
+    highest (p**n >= L) down, one round of one digit per coordinate in axis
+    order, read with Python integer division and sorted by Python's sort.
+    """
+    n = 1
+    while p**n < L:
+        n += 1
+    keys = []
+    for cell in itertools.product(range(L), repeat=D):
+        digits = [[(c // p**e) % p for c in cell] for e in reversed(range(n))]
+        keys.append(sum(digits, []))
+    return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +230,19 @@ class TestErrors:
             assert err.startswith("error: model body") and message in err
             assert "Traceback" not in err
 
+    def test_bench_model_with_param_flags(self, tmp_path, capsys):
+        samples = tmp_path / "samples.txt"
+        model = tmp_path / "model.bin"
+        assert run("gen-samples", "--D", "3", "--M", "16", "--out", str(samples)) == 0
+        assert run("learn", *SMALL, "--in", str(samples), "--out", str(model)) == 0
+        capsys.readouterr()
+        # the model fixes its params, so a flag next to --in would be silently ignored
+        for flags in (["--p", "3"], ["--L", "8"], SMALL):
+            assert run("bench", "--task", "2", "--in", str(model), *flags) == 1
+            named = " ".join(f for f in flags if f.startswith("--"))
+            err = capsys.readouterr().err
+            assert err == f"error: {named} conflict with --in: bench uses the model's params\n"
+
     def test_gen_samples_box_over_cap(self, monkeypatch, capsys):
         # --D 4 --M 5000 asks for a free box of 5000**3 points; a small cap shows the same path
         monkeypatch.setattr(nim, "MAX_GRID_CELLS", 100)
@@ -234,3 +251,27 @@ class TestErrors:
 
     def test_missing_required_flag(self):
         assert run("bench") == 2
+
+
+class TestEntryPoints:
+    def test_module_runs_the_pipeline(self, tmp_path):
+        # `python -m padiclearn` goes through __main__.py, as the console script goes
+        # through cli.main: their exit codes and streams, not parse_and_dispatch's
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+
+        def module(*argv):
+            cmd = [sys.executable, "-m", "padiclearn", *argv]
+            return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+        samples, model = tmp_path / "samples.txt", tmp_path / "model.bin"
+        done = module("gen-samples", "--D", "2", "--M", "8", "--out", str(samples))
+        assert done.returncode == 0 and done.stderr == "generated 8 points\n"
+        flags = ["--p", "2", "--E", "4", "--D", "2", "--M", "8"]
+        done = module("learn", *flags, "--in", str(samples), "--out", str(model))
+        assert done.returncode == 0 and f"({model.stat().st_size} bytes)" in done.stderr
+        done = module("predict", "--in", str(model), "--point", "3 3")
+        assert (done.returncode, done.stdout) == (0, "point 3 3 residue 0 member true\n")
+        done = module("predict", "--in", str(model), "--point", "3")
+        assert done.returncode == 1 and done.stderr.startswith("error: --point has 1")

@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from oracles import mahler_coeffs_1d, raw_lzma2, series_value, valuation
+from oracles import digit_order, mahler_coeffs_1d, raw_lzma2, series_value, valuation
 
 from padiclearn import learner, mahler
 from padiclearn.learner import (
@@ -400,6 +400,32 @@ class TestPersistence:
         assert batch.tolist() == [est.predict_residue(x) for x in pts] == np.diag(grid).tolist()
         assert type(est.predict_residue((5, 7))) is int
 
+    @pytest.mark.parametrize("piece", [None, 64])
+    def test_body_is_the_window_in_digit_order(self, monkeypatch, piece):
+        # a 64-byte piece cuts 8-cell slabs over a trailing block of at most 8 cells
+        if piece:
+            monkeypatch.setattr(learner, "_PIECE", piece)
+        # (p, D, L): L = 1, D = 1, p >= L, L = p**k, L = p**k + 1, a partial top digit
+        configs = [(2, 3, 1), (3, 1, 1), (2, 1, 37), (5, 3, 5), (7, 2, 4), (2, 2, 16)]
+        configs += [(3, 3, 9), (2, 2, 17), (3, 2, 10), (3, 2, 20), (2, 3, 12), (2, 5, 5)]
+        rng = np.random.default_rng(42)
+        while len(configs) < 40:
+            p, D = int(rng.choice([2, 3, 5, 7, 11])), int(rng.integers(1, 5))
+            configs.append((p, D, int(rng.integers(1, int(2000 ** (1 / D)) + 1))))
+        for p, D, L in configs:
+            # values 0 .. L**D - 1 tell every cell apart
+            E = next(E for E in range(1, 30) if p**E >= L**D)
+            params = LearningParams(p=p, E=E, D=D, M=L)
+            window = np.arange(L**D).reshape((L,) * D)
+            buf = io.BytesIO()
+            write_coefficient_rows(buf, params, window)
+            stream = buf.getvalue().split(b"\n", 1)[1]
+            raw = lzma.decompress(stream, lzma.FORMAT_RAW, filters=[{"id": lzma.FILTER_LZMA2}])
+            body = np.frombuffer(raw, params.residue_dtype)
+            assert np.array_equal(body, digit_order(p, D, L)), (p, D, L)
+            buf.seek(0)
+            assert np.array_equal(read_coefficient_rows(buf)[1], window), (p, D, L)
+
     def test_incompressible_window_round_trip(self):
         # random bytes are stored as raw chunks, the longest stream the read admits
         params = LearningParams(p=2, E=8, D=2, M=256)
@@ -497,6 +523,26 @@ class TestPersistence:
             path.write_bytes(head + b"\n" + raw_lzma2(flipped))
             with pytest.raises(ValueError, match="digest"):
                 DefiningFunctionEstimate.load(path)
+
+    def test_row_major_body_names_older_models(self, tmp_path):
+        # the body as written before digit order: the model's filter over the row-major window
+        path, head, stream = self._saved(tmp_path)
+        window = model_window(path)
+        bare = lzma.decompress(stream, lzma.FORMAT_RAW, filters=[{"id": lzma.FILTER_LZMA2}])
+        assert bare != window  # p = 2 < L = 4 at D = 2: the orders differ here
+        filters = [learner._lzma2(np.dtype(np.uint8), len(window))]
+        older = lzma.compress(window, format=lzma.FORMAT_RAW, filters=filters)
+        path.write_bytes(head + b"\n" + older)
+        message = "digest .*, or a model saved before bodies were digit-ordered; re-save it"
+        with pytest.raises(ValueError, match=message):
+            DefiningFunctionEstimate.load(path)
+        # a D = 1 body has one order, so its digest error names no older model
+        params = LearningParams(p=2, E=4, D=1, M=4)
+        buf = io.BytesIO()
+        write_coefficient_rows(buf, params, np.array([1, 2, 3, 4]))
+        head = buf.getvalue().split(b"\n", 1)[0]
+        with pytest.raises(ValueError, match=r"digest does not match its header and body$"):
+            read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([1, 2, 3, 5]))))
 
     def test_tampered_header_field_rejected(self, tmp_path):
         path, head, body = self._saved(tmp_path)
