@@ -173,11 +173,6 @@ def _digest(fields: bytes, body) -> bytes:
     return h.hexdigest().encode()
 
 
-def _row_major(params: LearningParams) -> bool:
-    """Whether the digit order of _digit_slabs is plain row-major: D = 1 or L <= p."""
-    return params.D == 1 or params.L <= params.p
-
-
 def _digit_slabs(params: LearningParams):
     """Yield (lo, hi, pos): row-major window cells lo..hi-1 sit at body positions pos.
 
@@ -239,11 +234,9 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     fields = f"{params.p} {params.E} {params.D} {params.M} {params.L}".encode()
     cells = np.ascontiguousarray(window, params.residue_dtype).reshape(-1)
     fh.write(fields + b" " + _digest(fields, cells.view(np.uint8)) + b"\n")
-    body = cells
-    if not _row_major(params):
-        body = np.empty_like(cells)
-        for lo, hi, pos in _digit_slabs(params):
-            body[pos] = cells[lo:hi]
+    body = np.empty_like(cells)
+    for lo, hi, pos in _digit_slabs(params):
+        body[pos] = cells[lo:hi]
     filters = [_lzma2(params.residue_dtype, body.nbytes)]
     fh.write(lzma.compress(body.view(np.uint8), format=lzma.FORMAT_RAW, filters=filters))
 
@@ -256,11 +249,12 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     so a huge, corrupt or bomb file costs bounded memory: the stream, the
     body, the decoder's dictionary and a few pieces.  The stream and decoder
     go before the body is put back in row-major order, slab by slab of
-    _digit_slabs into the window.  Raises ValueError, in
-    this order, for a body that is not a valid LZMA2 stream (as every zlib
-    model is), a window of the wrong size, a truncated or overlong stream,
-    bytes after the stream and a digest mismatch.  ResidueGrid checks the
-    value range.
+    _digit_slabs into a new window, so the load then holds the body and the
+    window: twice the window, which sets the peak once the window outgrows
+    the 8 MiB dictionary.  Raises ValueError, in this order, for a body that
+    is not a valid LZMA2 stream (as every zlib model is), a window of the
+    wrong size, a truncated or overlong stream, bytes after the stream and a
+    digest mismatch.  ResidueGrid checks the value range.
     """
     line = fh.readline(128)  # far longer than any header the caps admit
     head = line.split()
@@ -301,13 +295,15 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     if decoder.unused_data or used < len(stream):
         raise ValueError("model body has bytes after its LZMA2 stream")
     del decoder, stream, piece  # the last piece is a view that keeps the stream alive
-    window = body = body[:size].view(dtype)
+    body = body[:size].view(dtype)
+    window = np.empty_like(body)
+    for lo, hi, pos in _digit_slabs(params):
+        window[lo:hi] = body[pos]
     older = ""
-    if not _row_major(params):
-        window = np.empty_like(body)
-        for lo, hi, pos in _digit_slabs(params):
-            window[lo:hi] = body[pos]
-        older = ", or a model saved before bodies were digit-ordered; re-save it"
+    if params.D > 1 and params.L > params.p:  # else the digit order is row-major
+        older = (
+            ", or a model saved before bodies were digit-ordered; learn it again from its samples"
+        )
     if _digest(b" ".join(head[:5]), window.view(np.uint8)) != head[5]:
         raise ValueError(f"model digest does not match its header and body{older}")
     return params, window.reshape((params.L,) * params.D)

@@ -459,8 +459,10 @@ class TestPersistence:
         assert back_params == params and back.tolist() == [3]
 
     def test_load_peak_is_stream_window_and_dictionary(self, tmp_path):
-        # 1 MiB of sparse values: a window copy or a whole-window decode output
-        # buffer beside the result would add 1 MiB to the traced peak
+        # 1 MiB of sparse values, where the dictionary is as large as the window,
+        # so decoding sets the peak: a whole-window decode output buffer beside the
+        # body would add 1 MiB to it; the gather into a new window comes after the
+        # stream and the decoder are freed (see the next test)
         params = LearningParams(p=2, E=8, D=2, M=1024)
         rng = np.random.default_rng(41)
         window = rng.integers(0, 256, size=(1024, 1024)) * (rng.random((1024, 1024)) < 0.25)
@@ -481,6 +483,32 @@ class TestPersistence:
         # size here) and its 32 KiB of state, and per call an input tail, an output
         # piece and its copy when short, then 64 KiB for small objects
         assert peak < stream + (size + 1) + size + 4 * learner._PIECE + 2**16
+
+    def test_load_peak_past_the_dictionary_is_body_and_window(self, tmp_path):
+        # a sparse window just over the 8 MiB dictionary: the gather into a new
+        # window, not the decode, sets the peak, at about twice the window
+        params = LearningParams(p=2, E=8, D=2, M=2900)
+        size = 2900**2
+        assert learner._lzma2(params.residue_dtype, size)["dict_size"] == 8 << 20 < size
+        rng = np.random.default_rng(47)
+        window = np.zeros(size, np.uint8)
+        window[rng.integers(0, size, 1000)] = rng.integers(1, 256, 1000)
+        window = window.reshape(2900, 2900)
+        path = tmp_path / "model.bin"
+        with open(path, "wb") as fh:
+            write_coefficient_rows(fh, params, window)
+        tracemalloc.start()
+        try:
+            with open(path, "rb") as fh:
+                back = read_coefficient_rows(fh)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, window)
+        # the body plus one byte, the window, the positions' trailing rows (2n rows
+        # of at most _PIECE bytes, n = 12 digits here), a few slab-sized temporaries,
+        # then 64 KiB for small objects
+        assert peak < (size + 1) + size + (2 * 12 + 4) * learner._PIECE + 2**16
 
     def test_failed_save_keeps_the_old_model(self, tmp_path, monkeypatch):
         params = LearningParams(p=2, E=4, D=2, M=4)
@@ -533,7 +561,7 @@ class TestPersistence:
         filters = [learner._lzma2(np.dtype(np.uint8), len(window))]
         older = lzma.compress(window, format=lzma.FORMAT_RAW, filters=filters)
         path.write_bytes(head + b"\n" + older)
-        message = "digest .*, or a model saved before bodies were digit-ordered; re-save it"
+        message = "digest .*, or a model saved before bodies were digit-ordered; learn it again"
         with pytest.raises(ValueError, match=message):
             DefiningFunctionEstimate.load(path)
         # a D = 1 body has one order, so its digest error names no older model
