@@ -13,8 +13,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from padiclearn.cli import parse_and_dispatch
 from padiclearn.learner import SampleSet, learn, read_coefficient_rows
-from padiclearn.nim import run_task
+from padiclearn.nim import generate_p_positions, run_task
 from padiclearn.padic import LearningParams
 
 
@@ -207,3 +208,49 @@ def test_stock_report_digests(benchmark_estimate, task):
     trials = 200 if task in (1, 3) else None
     report = run_task(benchmark_estimate, task, trials=trials, seed=20260818)
     assert digest(report.to_text().encode()) == REPORTS[task]
+
+
+# small Nim models at p=2 E=6, learned from every zero-XOR point of [0, M)**D:
+# (D, M, task, mode) -> report text digest; tasks 1 and 3 at 300 trials,
+# subsample mode at 500 points
+SMALL_REPORTS = {
+    (1, 8, 1, "exhaustive"): "33e183035ae40fd46a35d8049199b3e8",
+    (1, 8, 2, "exhaustive"): "1022429b6eed5bfc6da4fdedd5488033",
+    (1, 8, 3, "exhaustive"): "83a1772c7e5a1769a5e65f09fd7b470e",
+    (1, 8, 4, "exhaustive"): "ea558a335472abd2d29a6b3120f9060c",
+    (2, 16, 1, "exhaustive"): "47ff7824731ed7d8fe14a5bfaffa3962",
+    (2, 16, 2, "exhaustive"): "6a1a28565a6d6cc792581ce7654778cf",
+    (2, 16, 3, "exhaustive"): "c4ddfb515dffc28674baf1c2ea2c0440",
+    (2, 16, 4, "exhaustive"): "d031c507e2c160e512cb5aacff2019a8",
+    (4, 8, 1, "exhaustive"): "30d2a832e7d5637329774f0eeed365fe",
+    (4, 8, 2, "exhaustive"): "8a396edd0737f74b11c6f5fd9d29458d",
+    (4, 8, 3, "exhaustive"): "fb0aee47cc9c1ac0c23c9c942405cf6b",
+    (4, 8, 4, "exhaustive"): "5b507ea76b983a48f518a5d9584d389d",
+    (4, 8, 2, "subsample"): "2fe9de8133bc4585c31e260c50a68ab2",
+}
+
+
+@pytest.fixture(scope="module")
+def small_nim_models():
+    def fit(D, M):
+        return learn(SampleSet(LearningParams(p=2, E=6, D=D, M=M), generate_p_positions(D, M)))
+
+    return {(D, M): fit(D, M) for D, M in {key[:2] for key in SMALL_REPORTS}}
+
+
+@pytest.mark.parametrize("key", list(SMALL_REPORTS), ids=lambda k: "-".join(map(str, k)))
+def test_small_report_digests(small_nim_models, key):
+    D, M, task, mode = key
+    est = small_nim_models[D, M]
+    report = run_task(est, task, trials=300, seed=7, mode=mode, sample_size=500)
+    assert digest(report.to_text().encode()) == SMALL_REPORTS[key]
+
+
+def test_cli_text_digests(tmp_path):
+    samples, model, dump = (tmp_path / name for name in ("s.txt", "m.bin", "c.txt"))
+    assert parse_and_dispatch(["gen-samples", "--D", "3", "--M", "12", "--out", str(samples)]) == 0
+    flags = ["--p", "2", "--E", "6", "--D", "3", "--M", "12", "--L", "10"]
+    assert parse_and_dispatch(["learn", *flags, "--in", str(samples), "--out", str(model)]) == 0
+    assert parse_and_dispatch(["dump-coeffs", "--in", str(model), "--out", str(dump)]) == 0
+    assert digest(samples.read_bytes()) == "530a20dbe795893b644d206c20cef961"
+    assert digest(dump.read_bytes()) == "c0e7cc6df73eec910183fea7b7fcfe44"
