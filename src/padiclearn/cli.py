@@ -15,16 +15,30 @@ from .nim import BENCHMARK_PARAMS, generate_p_positions, run_task
 from .padic import LearningParams
 
 
-def _write_text(path, text: str):
-    """Write text to the file at path, or to stdout when there is none."""
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(text)
+def _text_out(path):
+    """The text file at path, opened for writing, or stdout when there is none."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
 def write_sample_file(path, points: np.ndarray):
     """One point per line, coordinates as space-separated decimals."""
-    rows = np.asarray(points).tolist()
-    _write_text(path, "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    with _text_out(path) as fh:
+        np.savetxt(fh, np.asarray(points), fmt="%d")
+
+
+def _parse_row(text: str, D: int, malformed: str, miscount: str) -> list[int]:
+    """The D whitespace-separated integers of text.
+
+    A token that is no integer raises ValueError(malformed), and another
+    count n raises ValueError(miscount.format(n)).
+    """
+    try:
+        row = [int(tok) for tok in text.split()]
+    except ValueError:
+        raise ValueError(malformed) from None
+    if len(row) != D:
+        raise ValueError(miscount.format(len(row)))
+    return row
 
 
 def read_sample_file(path, D: int) -> np.ndarray:
@@ -32,19 +46,12 @@ def read_sample_file(path, D: int) -> np.ndarray:
     points = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                coords = [int(tok) for tok in parts]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed sample line {raw.rstrip()!r}")
-            if len(coords) != D:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {D} coordinates (--D), got {len(coords)}"
-                )
-            points.append(coords)
+            line = raw.split("#", 1)[0]
+            if line.strip():
+                where = f"{path}:{lineno}: "
+                malformed = f"{where}malformed sample line {raw.rstrip()!r}"
+                miscount = f"{where}expected {D} coordinates (--D), got {{}}"
+                points.append(_parse_row(line, D, malformed, miscount))
     if not points:
         raise ValueError(f"{path}: no sample points found")
     return np.asarray(points, dtype=np.int64)
@@ -58,16 +65,6 @@ def _params_from_args(args) -> LearningParams:
     stock = {f: getattr(BENCHMARK_PARAMS, f) for f in ("p", "E", "D", "M")}
     given = {f: getattr(args, f) for f in _PARAM_FLAGS if getattr(args, f) is not None}
     return LearningParams(**(stock | given))
-
-
-def _parse_point(text: str, D: int) -> tuple[int, ...]:
-    try:
-        coords = tuple(int(tok) for tok in text.split())
-    except ValueError:
-        raise ValueError(f"malformed --point {text!r}; expected space-separated integers")
-    if len(coords) != D:
-        raise ValueError(f"--point has {len(coords)} coordinates, model expects {D}")
-    return coords
 
 
 def _cmd_gen_samples(args) -> int:
@@ -88,7 +85,9 @@ def _cmd_learn(args) -> int:
 
 def _cmd_predict(args) -> int:
     est = DefiningFunctionEstimate.load(args.in_path)
-    point = _parse_point(args.point, est.params.D)
+    D = est.params.D
+    malformed = f"malformed --point {args.point!r}; expected space-separated integers"
+    point = _parse_row(args.point, D, malformed, f"--point has {{}} coordinates, model expects {D}")
     residue = est.predict_residue(point)
     member = "true" if residue == 0 else "false"
     print(f"point {' '.join(str(c) for c in point)} residue {residue} member {member}")
@@ -113,7 +112,8 @@ def _cmd_bench(args) -> int:
         mode=args.mode,
         sample_size=args.sample_size,
     )
-    _write_text(args.out, report.to_text())
+    with _text_out(args.out) as fh:
+        fh.write(report.to_text())
     print(f"wall_time_ms {report.wall_time_ms}", file=sys.stderr)
     return 0
 

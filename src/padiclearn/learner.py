@@ -81,22 +81,23 @@ class DefiningFunctionEstimate:
 
     Predictions are defined on [0, p**E)**D only; the series is a residue
     mod p**E and coordinates are read at precision E.  A table passed in
-    must be mod the same p**E and cover n < p**E, k < L, or ValueError.
+    must be mod the same p**E and cover n < p**E, or ValueError; its rows
+    are exact for every k.
     """
 
     params: LearningParams
     coeffs: ResidueGrid
-    # C(n, k) mod p**E for n < p**E, k < L, as factorial unit parts; built if not given
+    # C(n, k) mod p**E for n < p**E, as factorial unit parts; built if not given
     table: BinomialTable | None = None
 
     def __post_init__(self):
         P, T = self.params, self.table
         if T is None:
             object.__setattr__(self, "table", binomial_table(P.p, P.E, P.modulus - 1, P.L - 1))
-        elif (T.p, T.E) != (P.p, P.E) or T.shape[0] < P.modulus or T.shape[1] < P.L:
+        elif (T.p, T.E) != (P.p, P.E) or T.shape[0] < P.modulus:
             raise ValueError(
-                f"table is mod {T.p}**{T.E} for n < {T.shape[0]}, k < {T.shape[1]};"
-                f" the model needs mod {P.p}**{P.E} for n < {P.modulus}, k < {P.L}"
+                f"table is mod {T.p}**{T.E} for n < {T.shape[0]};"
+                f" the model needs mod {P.p}**{P.E} for n < {P.modulus}"
             )
 
     def predict_residue(self, point) -> int:
@@ -190,7 +191,8 @@ def _digit_slabs(params: LearningParams):
     z = F_e x z + A_e x w, w = F_{e+1} x w, last axis first; each leading index
     gives P_e = prod F_e and Q_e by the same recurrence, for every e at once.  A
     slab of at most _PIECE // 8 cells is then sum_e P_e z_e + Q_e w_e, one matrix
-    product.  Every partial sum is an integer below L**D <= 2**24, exact in float64.
+    product.  Every partial sum is an integer below L**D, exact in float64 by the
+    bound asserted next to the caps in padic.py.
     """
     p, D, L = params.p, params.D, params.L
     n = 1

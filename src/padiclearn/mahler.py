@@ -94,14 +94,6 @@ def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
     return ResidueGrid(params, _contract(grid.data, [inverse] * params.D, params.modulus))
 
 
-def _table_rows(coeffs: ResidueGrid, table: BinomialTable) -> int:
-    """Row count of table, once its columns are known to cover coeffs."""
-    kmax = table.shape[1] - 1
-    if kmax < coeffs.extent - 1:
-        raise ValueError(f"binomial table covers k <= {kmax}, need k <= {coeffs.extent - 1}")
-    return table.shape[0]
-
-
 def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndarray:
     """Truncated-series values over a product grid of query coordinates.
 
@@ -112,7 +104,7 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndar
     along s, each copied into the output before the next; chunk_ranges picks s.
     """
     params, ext, D = coeffs.params, coeffs.extent, coeffs.params.D
-    bound = _table_rows(coeffs, table)
+    bound = table.shape[0]
     if len(axes) != D:
         raise ValueError(f"got {len(axes)} axes, expected D = {D}")
     rows = []
@@ -150,7 +142,7 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: BinomialTable) -> np.
     D <= 2 a run spans its block's groups, each point with its own partial
     row; at D >= 3 a run stays in one group and shares its partial.
     """
-    pts = as_points(points, coeffs.params.D, bound=_table_rows(coeffs, table))
+    pts = as_points(points, coeffs.params.D, bound=table.shape[0])
     mod, ext, D = coeffs.params.modulus, coeffs.extent, coeffs.params.D
     flat = coeffs.data.reshape(ext, -1)
     order = np.argsort(pts[:, 0], kind="stable")

@@ -15,6 +15,7 @@ member or a false alarm, whichever the task can exhibit.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -29,12 +30,20 @@ BENCHMARK_PARAMS = LearningParams(p=2, E=10, D=3, M=100)
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
+def _xor_close(free: np.ndarray) -> np.ndarray:
+    """The (n, k) free coordinates with their XOR appended: n zero-XOR points of D = k + 1.
+
+    A free block of k = 0 columns closes to zeros, the one zero-XOR point of D = 1.
+    """
+    return np.column_stack([free, np.bitwise_xor.reduce(free, axis=1)])
+
+
 def generate_p_positions(D: int, bounds) -> np.ndarray:
     """All zero-XOR points of the box prod_d [0, bounds[d]), lex order.
 
-    The first D-1 coordinates range freely; the last is forced to their
-    XOR and kept only when it fits under the final bound.  bounds may be
-    one integer (a cube) or a length-D sequence.  A free box of more than
+    The first D-1 coordinates range freely and _xor_close appends their XOR,
+    a point kept only when it fits under the final bound.  bounds may be one
+    integer (a cube) or a length-D sequence.  A free box of more than
     MAX_GRID_CELLS points raises ValueError.
     """
     if D < 1:
@@ -48,23 +57,18 @@ def generate_p_positions(D: int, bounds) -> np.ndarray:
         raise ValueError(f"bounds must be non-negative, got {bounds}")
     if min(bounds) == 0:
         return np.empty((0, D), dtype=np.int64)
-    if math.prod(bounds[:-1]) > MAX_GRID_CELLS:
-        raise ValueError(
-            f"the free box {bounds[:-1]} exceeds the supported grid size {MAX_GRID_CELLS}"
-        )
-    if D == 1:
-        return np.zeros((1, 1), dtype=np.int64)
-    free = np.indices(bounds[:-1]).reshape(D - 1, -1).T.astype(np.int64)
-    last = np.bitwise_xor.reduce(free, axis=1)
-    keep = last < bounds[-1]
-    return np.column_stack([free[keep], last[keep]])
+    free = bounds[:-1]
+    if math.prod(free) > MAX_GRID_CELLS:
+        raise ValueError(f"the free box {free} exceeds the supported grid size {MAX_GRID_CELLS}")
+    pts = _xor_close(np.indices(free, dtype=np.int64).reshape(D - 1, math.prod(free)).T)
+    return pts[pts[:, -1] < bounds[-1]]
 
 
 def sample_p_positions(rng: np.random.Generator, D: int, bound: int, size: int) -> np.ndarray:
     """Uniform draws from the zero-XOR points of [0, bound)**D.
 
     The first D-1 coordinates are drawn uniformly in one call of shape
-    (size, D-1); the last coordinate is their XOR.  bound must be a power
+    (size, D-1) and _xor_close appends their XOR.  bound must be a power
     of two so the forced coordinate stays inside the box, which also makes
     the draw exactly uniform over the zero-XOR set.
     """
@@ -72,9 +76,7 @@ def sample_p_positions(rng: np.random.Generator, D: int, bound: int, size: int) 
         raise ValueError(f"D must be at least 1, got {D}")
     if bound < 1 or bound & (bound - 1):
         raise ValueError(f"bound must be a positive power of two, got {bound}")
-    rest = rng.integers(0, bound, size=(size, D - 1), dtype=np.int64)
-    last = np.bitwise_xor.reduce(rest, axis=1) if D > 1 else np.zeros(size, dtype=np.int64)
-    return np.column_stack([rest, last])
+    return _xor_close(rng.integers(0, bound, size=(size, D - 1), dtype=np.int64))
 
 
 def _wilson_95(successes: int, trials: int) -> tuple[float, float]:
@@ -128,19 +130,25 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _xor_grid(axes) -> np.ndarray:
-    acc = np.array(0, dtype=np.int64)
-    for axis in axes:
-        acc = np.bitwise_xor.outer(acc, axis)
-    return acc
-
-
 def _p_positions_x0(D: int, lo: int, hi: int, bound: int) -> np.ndarray:
-    """Zero-XOR points of [lo, hi) x [0, bound)**(D-1); a power-of-two bound keeps every XOR."""
-    pts = generate_p_positions(D, (hi - lo,) + (bound,) * (D - 1))
-    pts[:, 0] += lo
-    pts[:, -1] = np.bitwise_xor.reduce(pts[:, :-1], axis=1)
-    return pts
+    """Zero-XOR points of [lo, hi) x [0, bound)**(D-1), or 0 at D = 1; bound is a power of two."""
+    sides = ((hi - lo,) + (bound,) * (D - 2))[: D - 1]
+    free = np.indices(sides, dtype=np.int64).reshape(D - 1, math.prod(sides)).T
+    free[:, :1] += lo
+    return _xor_close(free)
+
+
+def _plane_slabs(est: DefiningFunctionEstimate, bound: int):
+    """Exhaustive task 2: (verdict, truth) over the plane x_0 = 0, one x_1 slab at a time."""
+    D = est.params.D
+    level = (0, bound if D > 1 else 1, bound ** max(D - 2, 0))  # D = 1 keeps only x0
+    try:
+        for lo, hi in chunk_ranges([level], "task 2 slab")[1]:
+            axes = [np.array([0]), np.arange(lo, hi), *[np.arange(bound)] * (D - 2)][:D]
+            verdict = est.predict_residue_grid(axes) == 0
+            yield verdict, functools.reduce(np.bitwise_xor, np.ix_(*axes)) == 0
+    except ValueError as exc:  # the axes are valid, so only a slab is too large
+        raise ValueError(f"{exc}; run task 2 with --mode subsample instead") from exc
 
 
 def _check_task(task: int, params: LearningParams):
@@ -169,7 +177,9 @@ def run_task(
     is too large; task 2 alternatively runs with mode="subsample", which
     grades a stratified random subset of the plane (sample_size points
     spread evenly over the x_1 strata, remaining coordinates uniform) and
-    attaches a 95% Wilson interval to the measured success rate.
+    attaches a 95% Wilson interval to the measured success rate.  Every
+    task is graded in one loop over (verdict, truth) chunks: the grid
+    slabs of exhaustive task 2, or the point batches of the others.
     """
     P = est.params
     _check_task(task, P)
@@ -177,58 +187,45 @@ def run_task(
         raise ValueError(f"mode must be 'exhaustive' or 'subsample', got {mode!r}")
     if mode == "subsample" and task != 2:
         raise ValueError("subsample mode is defined for task 2 only")
+    if task in (1, 3) and (trials is None or trials < 1):
+        raise ValueError(f"task {task} needs a positive trial count")
+    rep_mode = "random" if task in (1, 3) else mode
     bound = P.modulus
     t0 = time.perf_counter()
 
     if task == 2 and mode == "exhaustive":
-        failures = 0
-        level = (0, bound if P.D > 1 else 1, bound ** max(P.D - 2, 0))  # D = 1 keeps only x0
-        try:
-            for lo, hi in chunk_ranges([level], "task 2 slab")[1]:
-                axes = [np.array([0]), np.arange(lo, hi), *[np.arange(bound)] * (P.D - 2)][: P.D]
-                residues = est.predict_residue_grid(axes)
-                failures += int(np.count_nonzero((residues == 0) != (_xor_grid(axes) == 0)))
-        except ValueError as exc:  # the axes are valid, so only a slab is too large
-            raise ValueError(f"{exc}; run task 2 with --mode subsample instead") from exc
-        n, rep_seed, rep_mode, ci = bound ** (P.D - 1), None, "exhaustive", None
+        graded = _plane_slabs(est, bound)
     else:
-        if task in (1, 3) and (trials is None or trials < 1):
-            raise ValueError(f"task {task} needs a positive trial count")
         if task == 1:
             rng = np.random.default_rng(seed)
             chunks = [rng.integers(0, bound, size=(trials, P.D), dtype=np.int64)]
-            rep_seed, rep_mode = seed, "random"
-        elif task == 2:
-            if P.D < 3:
-                raise ValueError(
-                    "subsample mode needs D >= 3: one stratified axis plus random axes"
-                )
-            if sample_size < 1:
-                raise ValueError(f"sample_size must be positive, got {sample_size}")
-            rng = np.random.default_rng(seed)
-            quota = -(-sample_size // bound)
-            x1 = np.repeat(np.arange(bound, dtype=np.int64), quota)
-            rest = rng.integers(0, bound, size=(x1.size, P.D - 2), dtype=np.int64)
-            chunks = [np.column_stack([np.zeros(x1.size, dtype=np.int64), x1, rest])]
-            rep_seed, rep_mode = seed, "subsample"
         elif task == 3:
             chunks = [sample_p_positions(np.random.default_rng(seed), P.D, bound, trials)]
-            rep_seed, rep_mode = seed, "random"
-        else:
+        elif task == 4:
             # cells of an x0 slab are the coordinates of its points
             level = (0, 64 if P.D > 1 else 1, P.D * bound ** max(P.D - 2, 0))
             slabs = chunk_ranges([level], "task 4 slab")[1]
             chunks = (_p_positions_x0(P.D, lo, hi, bound) for lo, hi in slabs)
-            rep_seed, rep_mode = None, "exhaustive"
-        # tasks 3 and 4 query members only, so every failure there is a miss
-        failures = n = 0
-        for pts in chunks:
-            truth = np.bitwise_xor.reduce(pts, axis=1) == 0
-            failures += int(np.count_nonzero(est.is_member_batch(pts) != truth))
-            n += pts.shape[0]
-        ci = _wilson_95(n - failures, n) if rep_mode == "subsample" else None
-
+        else:
+            if P.D < 3:
+                raise ValueError("subsample mode needs D >= 3: one stratified axis plus random axes")
+            if sample_size < 1:
+                raise ValueError(f"sample_size must be positive, got {sample_size}")
+            rng = np.random.default_rng(seed)
+            x1 = np.repeat(np.arange(bound, dtype=np.int64), -(-sample_size // bound))
+            rest = rng.integers(0, bound, size=(x1.size, P.D - 2), dtype=np.int64)
+            chunks = [np.column_stack([np.zeros(x1.size, dtype=np.int64), x1, rest])]
+        graded = (
+            (est.is_member_batch(pts), np.bitwise_xor.reduce(pts, axis=1) == 0) for pts in chunks
+        )
+    # tasks 3 and 4 query members only, so every failure there is a miss
+    failures = n = 0
+    for verdict, truth in graded:
+        failures += int(np.count_nonzero(verdict != truth))
+        n += truth.size
+    ci = _wilson_95(n - failures, n) if rep_mode == "subsample" else None
     ms = int(round((time.perf_counter() - t0) * 1000))
+    rep_seed = None if rep_mode == "exhaustive" else seed
     return BenchmarkReport(task, P, rep_seed, n, failures, ms, rep_mode, ci)
 
 

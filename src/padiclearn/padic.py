@@ -31,6 +31,9 @@ MAX_TABLE_CELLS = 1 << 26
 assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**52
 assert (MAX_MODULUS - 1) ** 3 < 2**63
 assert MAX_MODULUS + 2**30 < 2**31
+# learner._digit_slabs forms body positions, integers below L**D <= MAX_GRID_CELLS,
+# in float64, which is exact for every integer below 2**53.
+assert MAX_GRID_CELLS < 2**53
 
 # point blocks and runs, grid slabs and the task-2 and task-4 sweeps keep scratch
 # within this many int64 cells, 8 MiB
@@ -186,7 +189,7 @@ def _prefix_products(a: np.ndarray, mod: int):
 
 @dataclass(frozen=True, eq=False)
 class BinomialTable:
-    """C(n, k) mod p**E for n < shape[0] and k < shape[1], from factorial unit parts.
+    """C(n, k) mod p**E for n < shape[0] and every k, from factorial unit parts.
 
     With t! = p**V[t] * u and u prime to p, U[t] = u mod p**E and Uinv[t] is its
     inverse, so (Granville, "Arithmetic properties of binomial coefficients I",
@@ -197,7 +200,8 @@ class BinomialTable:
     which is 0 once the exponent reaches E.  The three int32 arrays run over
     t = -1, ..., nmax at index t + 1.  The t = -1 entry has V = -2**30, so an
     entry with l > x, whose x - l clips to it, has an exponent past E and is 0
-    with no mask.
+    with no mask.  shape[1] = kmax + 1 describes only the dense form; rows reads
+    any column.
     """
 
     p: int
@@ -247,12 +251,13 @@ def reduce_residues(arr: np.ndarray, mod: int):
 
 
 def binomial_table(p: int, E: int, nmax: int, kmax: int) -> BinomialTable:
-    """The table t[n, k] = C(n, k) mod p**E for all n <= nmax, k <= kmax.
+    """The table t[n, k] = C(n, k) mod p**E for all n <= nmax and every k.
 
-    It holds three arrays of nmax + 2 int32 entries, whatever kmax is; read its
-    rows with BinomialTable.rows.  U is a prefix product of the factors t with
-    their p's divided out, V a prefix sum of the p's, and Uinv a suffix product
-    of the same factors from the one modular inverse of U[nmax].
+    It holds three arrays of nmax + 2 int32 entries; kmax only sets the dense
+    form that shape names, and BinomialTable.rows is exact for every column.
+    U is a prefix product of the factors t with their p's divided out, V a
+    prefix sum of the p's, and Uinv a suffix product of the same factors from
+    the one modular inverse of U[nmax].
     """
     _check_modulus(p, E)
     if nmax < 0 or kmax < 0:

@@ -235,18 +235,21 @@ class TestPredict:
     def test_passed_table_must_match_the_params(self):
         params = LearningParams(p=2, E=4, D=2, M=4)
         est = learn(SampleSet(params, [(0, 1), (2, 3)]))
-        # a table mod 2**3 covers the rows and columns but not the modulus
+        # a table mod 2**3 covers the rows but not the modulus
         for table in (
             binomial_table(2, 3, 15, 3),
             binomial_table(3, 4, 15, 3),
             binomial_table(2, 4, 14, 3),
-            binomial_table(2, 4, 15, 2),
         ):
-            with pytest.raises(ValueError, match=r"the model needs mod 2\*\*4 for n < 16, k < 4"):
+            with pytest.raises(ValueError, match=r"the model needs mod 2\*\*4 for n < 16"):
                 DefiningFunctionEstimate(params, est.coeffs, table)
-        wider = DefiningFunctionEstimate(params, est.coeffs, binomial_table(2, 4, 15, 9))
+        # rows are exact for every k, so neither a narrow nor a wide dense form matters
         pts = np.array([(a, b) for a in range(16) for b in range(16)])
-        assert np.array_equal(wider.predict_residue_batch(pts), est.predict_residue_batch(pts))
+        axes = [np.arange(16)] * 2
+        for kmax in (0, 2, 9):
+            other = DefiningFunctionEstimate(params, est.coeffs, binomial_table(2, 4, 15, kmax))
+            assert np.array_equal(other.predict_residue_batch(pts), est.predict_residue_batch(pts))
+            assert np.array_equal(other.predict_residue_grid(axes), est.predict_residue_grid(axes))
 
 
 def oracle_window(params, samples) -> np.ndarray:

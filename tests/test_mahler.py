@@ -232,9 +232,11 @@ class TestEvaluate:
     def test_table_coverage_errors(self):
         params = params_1d(M=4)
         coeffs = ResidueGrid(params, np.array([0, 1, 2, 0]))
-        small_k = binomial_table(2, 10, 10, 2)
-        with pytest.raises(ValueError):
-            evaluate_on_grid(coeffs, [np.array([1])], small_k)
+        # rows are exact for every k, so a kmax = 0 table evaluates like the model's own
+        xs = np.arange(params.modulus)
+        own, no_k = (binomial_table(2, 10, params.modulus - 1, kmax) for kmax in (3, 0))
+        for evaluate, query in ((evaluate_at_points, xs[:, None]), (evaluate_on_grid, [xs])):
+            assert np.array_equal(evaluate(coeffs, query, no_k), evaluate(coeffs, query, own))
         small_n = binomial_table(2, 10, 5, 3)
         with pytest.raises(ValueError):
             evaluate_on_grid(coeffs, [np.array([6])], small_n)
