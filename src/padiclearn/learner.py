@@ -152,10 +152,28 @@ _PIECE = 1 << 15
 
 
 def _lzma2(dtype: np.dtype, size: int) -> dict:
-    """The one LZMA2 filter: its dictionary spans the window, between 4 KiB and 8 MiB."""
-    k = dtype.itemsize.bit_length() - 1  # literal and position bits align to a residue
+    """The one LZMA2 filter over size bytes of dtype digit groups.
+
+    Its literal and position bits align to a group, none for byte groups, and
+    its dictionary spans the planes, between 4 KiB and 8 MiB.
+    """
+    k = dtype.itemsize.bit_length() - 1
     dict_size = min(8 << 20, max(4 << 10, size))
     return dict(id=lzma.FILTER_LZMA2, preset=6, lc=0, lp=k, pb=k, dict_size=dict_size)
+
+
+def _digit_groups(p: int) -> tuple[int, np.dtype]:
+    """(k, dtype): a digit plane packs k base-p digits, high first, into each dtype value.
+
+    k is the most digits whose p**k values fit a byte; a prime past 256 stores one
+    digit per value of the smallest unsigned dtype that holds p - 1.
+    """
+    if p > 256:
+        return 1, np.min_scalar_type(p - 1).newbyteorder("<")
+    k = 1
+    while p ** (k + 1) <= 256:
+        k += 1
+    return k, np.dtype(np.uint8)
 
 
 def _stream_bound(size: int) -> int:
@@ -228,35 +246,61 @@ def _digit_slabs(params: LearningParams):
 def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     """Write the text line `p E D M L <digest>`, then the L**D window as one raw LZMA2 stream.
 
-    The window goes in the digit order of _digit_slabs as little-endian
-    params.residue_dtype values, compressed by the filter of _lzma2; the header's
-    fields determine both.  The digest is a hex blake2b over the five header fields
-    and the row-major window, so it depends on neither the order nor the liblzma build.
+    The stream holds E base-p digit planes, the high digit's first.  Each plane
+    holds that digit of every cell in the digit order of _digit_slabs, packed k
+    to a group as _digit_groups says, the last group zero-padded, and the filter
+    of _lzma2 compresses them; the header's fields determine all three.  The
+    digest is a hex blake2b over the five header fields and the row-major window,
+    so it depends on neither the layout nor the liblzma build.  Planes are packed
+    piece by piece into one compressor, so the save holds no plane buffer.
+    Raises ValueError for a window value outside [0, p**E), which no plane holds.
     """
-    fields = f"{params.p} {params.E} {params.D} {params.M} {params.L}".encode()
+    p, E, mod = params.p, params.E, params.modulus
+    window = np.asarray(window)
+    if window.min() < 0 or window.max() >= mod:
+        raise ValueError(f"window entries must lie in [0, {mod})")
+    fields = f"{p} {E} {params.D} {params.M} {params.L}".encode()
     cells = np.ascontiguousarray(window, params.residue_dtype).reshape(-1)
     fh.write(fields + b" " + _digest(fields, cells.view(np.uint8)) + b"\n")
-    body = np.empty_like(cells)
+    k, dtype = _digit_groups(p)
+    groups = -(-cells.size // k)
+    body = np.zeros(groups * k, cells.dtype)
     for lo, hi, pos in _digit_slabs(params):
         body[pos] = cells[lo:hi]
-    filters = [_lzma2(params.residue_dtype, body.nbytes)]
-    fh.write(lzma.compress(body.view(np.uint8), format=lzma.FORMAT_RAW, filters=filters))
+    body = body.reshape(groups, k)
+    filters = [_lzma2(dtype, E * groups * dtype.itemsize)]
+    encoder = lzma.LZMACompressor(lzma.FORMAT_RAW, filters=filters)
+    step = _PIECE // 8
+    for j in reversed(range(E)):
+        for lo in range(0, groups, step):
+            digits = body[lo : lo + step] // p**j % p
+            packed = digits[:, 0]
+            for i in range(1, k):
+                packed = packed * p + digits[:, i]
+            fh.write(encoder.compress(packed.astype(dtype)))
+    fh.write(encoder.flush())
 
 
 def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     """Params and L**D window of a model file, checked against its digest.
 
-    Reads at most an LZMA2 bound of the window size plus one byte and decodes
-    at most one byte past the window, _PIECE bytes per call into one buffer,
+    Reads at most an LZMA2 bound of the planes' size plus one byte and decodes
+    at most one byte past the planes, _PIECE bytes per call into one buffer,
     so a huge, corrupt or bomb file costs bounded memory: the stream, the
-    body, the decoder's dictionary and a few pieces.  The stream and decoder
-    go before the body is put back in row-major order, slab by slab of
-    _digit_slabs into a new window, so the load then holds the body and the
-    window: twice the window, which sets the peak once the window outgrows
-    the 8 MiB dictionary.  Raises ValueError, in this order, for a body that
-    is not a valid LZMA2 stream (as every zlib model is), a window of the
-    wrong size, a truncated or overlong stream, bytes after the stream and a
-    digest mismatch.  ResidueGrid checks the value range.
+    planes, the decoder's dictionary and a few pieces.  The stream and decoder
+    go first; then the planes are folded, high digit first, into a digit-ordered
+    body of residues, _PIECE // 8 groups at a time through a table of each
+    group's digits, and go too; then the body is put back in row-major order,
+    slab by slab of _digit_slabs into a new window.  The load peaks at the body
+    beside the larger of the planes and the window, once both outgrow the 8 MiB
+    dictionary.  Raises ValueError, in this order, for a body that is not a valid
+    LZMA2 stream (as every zlib model is), planes of the wrong size, a truncated
+    or overlong stream, bytes after the stream, a group that is not k base-p
+    digits or a nonzero digit past the last cell, both naming the plane, and a
+    digest mismatch.  Bodies written before they were digit planes (residues in
+    row-major or in digit order) fail the size check, the group checks or the
+    digest, which then name them, unless E = 1 and k = 1 (p > 16), where a digit
+    is a residue and a digit-ordered body is its own single plane.
     """
     line = fh.readline(128)  # far longer than any header the caps admit
     head = line.split()
@@ -266,12 +310,19 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         params = LearningParams(*(int(tok) for tok in head[:5]))
     except ValueError as exc:
         raise ValueError(f"bad model header {line!r}: {exc}") from exc
-    dtype = params.residue_dtype
-    size = params.L**params.D * dtype.itemsize
+    p, E, D, L = params.p, params.E, params.D, params.L
+    k, dtype = _digit_groups(p)
+    cells = L**D
+    groups = -(-cells // k)
+    size = E * groups * dtype.itemsize
+    older = ""
+    if E > 1 or k > 1 or (D > 1 and L > p):  # else the older layouts are these bytes
+        older = ", or a model saved before bodies were digit planes; learn it again"
+        older += " from its samples"
     bound = _stream_bound(size)
     stream = memoryview(fh.read(bound + 1))
     decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[_lzma2(dtype, size)])
-    body = np.empty(size + 1, np.uint8)
+    buf = np.empty(size + 1, np.uint8)
     got = used = 0
     piece = b""
     try:
@@ -279,7 +330,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
             piece = stream[used : used + _PIECE] if decoder.needs_input else b""
             used += len(piece)
             out = decoder.decompress(piece, min(_PIECE, size + 1 - got))
-            body[got : got + len(out)] = np.frombuffer(out, np.uint8)
+            buf[got : got + len(out)] = np.frombuffer(out, np.uint8)
             got += len(out)
         if decoder.eof and not got:  # the end byte alone: no window is empty
             raise lzma.LZMAError("the stream ends before any data")
@@ -290,22 +341,50 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         ) from exc
     if got > size or (decoder.eof and got < size):
         n = "more" if got > size else got
-        raise ValueError(f"model body must be {size} bytes, L**D {dtype.name} values, got {n}")
+        raise ValueError(
+            f"model body must be {size} bytes, {E} digit planes of {groups} {dtype.name}"
+            f" groups, got {n}{older}"
+        )
     if not decoder.eof:
         why = f"runs past {bound} bytes" if len(stream) > bound else "is truncated"
         raise ValueError(f"model body's LZMA2 stream {why}")
     if decoder.unused_data or used < len(stream):
         raise ValueError("model body has bytes after its LZMA2 stream")
     del decoder, stream, piece  # the last piece is a view that keeps the stream alive
-    body = body[:size].view(dtype)
+    planes = buf[:size].view(dtype).reshape(E, groups)
+    # a plane's stored index s holds digit E - 1 - s; a wide digit is its own group
+    bad = np.flatnonzero(planes.max(axis=1) >= p**k)
+    if bad.size:
+        s = int(bad[0])
+        top = planes[s].max()
+        what = f"digit {top} >= {p}" if k == 1 else f"byte {top} >= {p}**{k}, not {k} digits"
+        raise ValueError(f"model body's digit plane {E - 1 - s} has a {what}{older}")
+    lut = None  # the digits of each byte group, high first, built per load
+    if p <= 256:
+        lut = np.arange(p**k)[:, None] // p ** np.arange(k - 1, -1, -1) % p
+        lut = lut.astype(params.residue_dtype)
+        bad = np.flatnonzero(lut[planes[:, -1], k - (groups * k - cells) :].any(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"model body's digit plane {E - 1 - int(bad[0])} has a nonzero digit past"
+                f" the last cell{older}"
+            )
+    body = np.zeros(groups * k, params.residue_dtype)
+    step = _PIECE // 8
+    digits = np.empty((step, k), body.dtype)
+    for lo in range(0, groups, step):
+        part = body[lo * k : (lo + step) * k].reshape(-1, k)
+        for plane in planes[:, lo : lo + step]:
+            part *= p
+            if lut is None:
+                part += plane[:, None]
+            else:
+                part += np.take(lut, plane, axis=0, out=digits[: len(plane)])
+    del planes, buf, part, plane  # the loop's views keep the planes alive
+    body = body[:cells]
     window = np.empty_like(body)
     for lo, hi, pos in _digit_slabs(params):
         window[lo:hi] = body[pos]
-    older = ""
-    if params.D > 1 and params.L > params.p:  # else the digit order is row-major
-        older = (
-            ", or a model saved before bodies were digit-ordered; learn it again from its samples"
-        )
     if _digest(b" ".join(head[:5]), window.view(np.uint8)) != head[5]:
         raise ValueError(f"model digest does not match its header and body{older}")
-    return params, window.reshape((params.L,) * params.D)
+    return params, window.reshape((L,) * D)

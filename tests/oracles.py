@@ -118,3 +118,42 @@ def digit_order(p: int, D: int, L: int) -> np.ndarray:
         digits = [[(c // p**e) % p for c in cell] for e in reversed(range(n))]
         keys.append(sum(digits, []))
     return np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.int64)
+
+
+def digit_planes(p: int, E: int, values) -> bytes:
+    """The E base-p digit planes of values, in a model body's layout.
+
+    Plane E - 1, the high digit's, comes first and plane 0 last; each holds that
+    digit of every value in the given order, read with Python divmod.  Below
+    p = 257 a byte packs the most digits k with p**k <= 256, high first, and the
+    last byte is zero-padded; past 256 each digit is one little-endian value of
+    the smallest unsigned width that holds p - 1.
+    """
+    digits = []
+    for v in values:
+        v, row = int(v), []
+        for _ in range(E):
+            v, d = divmod(v, p)
+            row.append(d)
+        if v:
+            raise ValueError(f"value has more than {E} base-{p} digits")
+        digits.append(row)
+    out = bytearray()
+    if p > 256:
+        width = 2 if (p - 1).bit_length() <= 16 else 4
+        for j in reversed(range(E)):
+            for row in digits:
+                out += row[j].to_bytes(width, "little")
+        return bytes(out)
+    k = 1
+    while p ** (k + 1) <= 256:
+        k += 1
+    for j in reversed(range(E)):
+        plane = [row[j] for row in digits]
+        plane += [0] * (-len(plane) % k)
+        for i in range(0, len(plane), k):
+            byte = 0
+            for d in plane[i : i + k]:
+                byte = byte * p + d
+            out.append(byte)
+    return bytes(out)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import mahler_coeffs_1d, raw_lzma2, series_value
+from oracles import digit_planes, mahler_coeffs_1d, raw_lzma2, series_value
 
 from padiclearn import mahler, padic
 from padiclearn.learner import read_coefficient_rows, write_coefficient_rows
@@ -444,9 +444,12 @@ class TestDumpFormat:
         assert back.dtype == np.min_scalar_type(grid.params.modulus - 1)
 
     def test_rejects_wrong_count(self):
-        # short, long, and the older indexed `l_0 l_1 value` rows, each compressed
-        for body in (b"\x01\x02\x03", b"\x01\x02\x03\x04\x05", b"0 0 1\n0 1 2\n1 0 3\n1 1 4\n"):
-            with pytest.raises(ValueError, match="must be 4 bytes"):
+        # 3 digit planes of one byte: short, long, and the older indexed
+        # `l_0 l_1 value` rows, each compressed
+        planes = digit_planes(2, 3, [1, 2, 3, 4])
+        assert len(planes) == 3
+        for body in (planes[:-1], planes + b"\x00", b"0 0 1\n0 1 2\n1 0 3\n1 1 4\n"):
+            with pytest.raises(ValueError, match="must be 3 bytes"):
                 read_coefficient_rows(io.BytesIO(DUMMY_HEAD + raw_lzma2(body)))
 
     @pytest.mark.parametrize(
