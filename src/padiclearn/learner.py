@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mahler import ResidueGrid, evaluate_at_points, evaluate_on_grid, mahler_transform
+from .mahler import (
+    ResidueGrid,
+    evaluate_at_points,
+    evaluate_on_grid,
+    mahler_transform,
+    transform_window,
+)
 from .padic import BinomialTable, LearningParams, as_points, binomial_table
 from .trie import PadicTrie
 
@@ -244,29 +250,36 @@ def _digit_slabs(params: LearningParams):
 
 
 def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
-    """Write the text line `p E D M L <digest>`, then the L**D window as one raw LZMA2 stream.
+    """Write the text line `p E D M L <digest>`, then the window's values as one raw LZMA2 stream.
 
-    The stream holds E base-p digit planes, the high digit's first.  Each plane
-    holds that digit of every cell in the digit order of _digit_slabs, packed k
-    to a group as _digit_groups says, the last group zero-padded, and the filter
-    of _lzma2 compresses them; the header's fields determine all three.  The
-    digest is a hex blake2b over the five header fields and the row-major window,
-    so it depends on neither the layout nor the liblzma build.  Planes are packed
-    piece by piece into one compressor, so the save holds no plane buffer.
-    Raises ValueError for a window value outside [0, p**E), which no plane holds.
+    The L**D coefficient window is stored as the values its series takes on
+    [0, L)**D, which for a learned model are the p**v of the fill: a copy of the
+    window in the residue dtype is transformed by C(i, j) in place, by
+    mahler.transform_window.  The stream holds E base-p digit planes of those
+    values, the high digit's first.  Each plane holds that digit of every cell in
+    the digit order of _digit_slabs, packed k to a group as _digit_groups says,
+    the last group zero-padded, and the filter of _lzma2 compresses them; the
+    header's fields determine all three.  The digest is a hex blake2b over the
+    five header fields and the row-major coefficient window, so it depends on
+    neither the layout nor the liblzma build.  Planes are packed piece by piece
+    into one compressor, so the save holds no plane buffer.  Raises ValueError
+    for a window value outside [0, p**E), which no plane holds.
     """
     p, E, mod = params.p, params.E, params.modulus
     window = np.asarray(window)
     if window.min() < 0 or window.max() >= mod:
         raise ValueError(f"window entries must lie in [0, {mod})")
     fields = f"{p} {E} {params.D} {params.M} {params.L}".encode()
-    cells = np.ascontiguousarray(window, params.residue_dtype).reshape(-1)
-    fh.write(fields + b" " + _digest(fields, cells.view(np.uint8)) + b"\n")
+    values = np.array(window, params.residue_dtype).reshape((params.L,) * params.D)
+    fh.write(fields + b" " + _digest(fields, values.reshape(-1).view(np.uint8)) + b"\n")
+    transform_window(values, params, inverse=False)
+    cells = values.reshape(-1)
     k, dtype = _digit_groups(p)
     groups = -(-cells.size // k)
     body = np.zeros(groups * k, cells.dtype)
     for lo, hi, pos in _digit_slabs(params):
         body[pos] = cells[lo:hi]
+    del values, cells
     body = body.reshape(groups, k)
     filters = [_lzma2(dtype, E * groups * dtype.itemsize)]
     encoder = lzma.LZMACompressor(lzma.FORMAT_RAW, filters=filters)
@@ -282,7 +295,7 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
 
 
 def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
-    """Params and L**D window of a model file, checked against its digest.
+    """Params and L**D coefficient window of a model file, checked against its digest.
 
     Reads at most an LZMA2 bound of the planes' size plus one byte and decodes
     at most one byte past the planes, _PIECE bytes per call into one buffer,
@@ -291,16 +304,22 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     go first; then the planes are folded, high digit first, into a digit-ordered
     body of residues, _PIECE // 8 groups at a time through a table of each
     group's digits, and go too; then the body is put back in row-major order,
-    slab by slab of _digit_slabs into a new window.  The load peaks at the body
-    beside the larger of the planes and the window, once both outgrow the 8 MiB
-    dictionary.  Raises ValueError, in this order, for a body that is not a valid
-    LZMA2 stream (as every zlib model is), planes of the wrong size, a truncated
-    or overlong stream, bytes after the stream, a group that is not k base-p
-    digits or a nonzero digit past the last cell, both naming the plane, and a
-    digest mismatch.  Bodies written before they were digit planes (residues in
-    row-major or in digit order) fail the size check, the group checks or the
-    digest, which then name them, unless E = 1 and k = 1 (p > 16), where a digit
-    is a residue and a digit-ordered body is its own single plane.
+    slab by slab of _digit_slabs into a new window of the series' values, and
+    goes too.  Last, mahler.transform_window takes the values back to
+    coefficients in place by (-1)**(i - j) * C(i, j), its float64 scratch within
+    the bytes the body held, and the digest is checked.  The load peaks at the
+    body beside the larger of the planes and the window, once both outgrow the
+    8 MiB dictionary.  Raises ValueError, in this order, for a body that is not
+    a valid LZMA2 stream (as every zlib model is), planes of the wrong size, a
+    truncated or overlong stream, bytes after the stream, a group that is not k
+    base-p digits or a nonzero digit past the last cell, both naming the plane,
+    and a digest mismatch.  Bodies written before they were digit planes
+    (residues in row-major or in digit order) fail the size check, the group
+    checks or the digest, which then name them, unless E = 1 and k = 1 (p > 16),
+    where a digit is a residue and a digit-ordered body is its own single plane.
+    Bodies of coefficient planes, written before bodies held window values, have
+    the size and groups of value planes and fail the digest, which names them,
+    unless L = 1, where the values are the coefficients.
     """
     line = fh.readline(128)  # far longer than any header the caps admit
     head = line.split()
@@ -315,10 +334,12 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     cells = L**D
     groups = -(-cells // k)
     size = E * groups * dtype.itemsize
-    older = ""
-    if E > 1 or k > 1 or (D > 1 and L > p):  # else the older layouts are these bytes
-        older = ", or a model saved before bodies were digit planes; learn it again"
-        older += " from its samples"
+    # an older body, when its layout is not these bytes, fails with a hint; residues
+    # saved before digit planes can fail any check, coefficient planes the digest
+    residues = E > 1 or k > 1 or (D > 1 and L > p)
+    older = ", or a model saved before bodies {}; learn it again from its samples"
+    older_planes = older.format("were digit planes") if residues else ""
+    older_values = older.format("held window values") if residues or L > 1 else ""
     bound = _stream_bound(size)
     stream = memoryview(fh.read(bound + 1))
     decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[_lzma2(dtype, size)])
@@ -343,7 +364,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         n = "more" if got > size else got
         raise ValueError(
             f"model body must be {size} bytes, {E} digit planes of {groups} {dtype.name}"
-            f" groups, got {n}{older}"
+            f" groups, got {n}{older_planes}"
         )
     if not decoder.eof:
         why = f"runs past {bound} bytes" if len(stream) > bound else "is truncated"
@@ -358,7 +379,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         s = int(bad[0])
         top = planes[s].max()
         what = f"digit {top} >= {p}" if k == 1 else f"byte {top} >= {p}**{k}, not {k} digits"
-        raise ValueError(f"model body's digit plane {E - 1 - s} has a {what}{older}")
+        raise ValueError(f"model body's digit plane {E - 1 - s} has a {what}{older_planes}")
     lut = None  # the digits of each byte group, high first, built per load
     if p <= 256:
         lut = np.arange(p**k)[:, None] // p ** np.arange(k - 1, -1, -1) % p
@@ -367,7 +388,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         if bad.size:
             raise ValueError(
                 f"model body's digit plane {E - 1 - int(bad[0])} has a nonzero digit past"
-                f" the last cell{older}"
+                f" the last cell{older_planes}"
             )
     body = np.zeros(groups * k, params.residue_dtype)
     step = _PIECE // 8
@@ -381,10 +402,14 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
             else:
                 part += np.take(lut, plane, axis=0, out=digits[: len(plane)])
     del planes, buf, part, plane  # the loop's views keep the planes alive
+    held = body.nbytes
     body = body[:cells]
     window = np.empty_like(body)
     for lo, hi, pos in _digit_slabs(params):
         window[lo:hi] = body[pos]
-    if _digest(b" ".join(head[:5]), window.view(np.uint8)) != head[5]:
-        raise ValueError(f"model digest does not match its header and body{older}")
-    return params, window.reshape((L,) * D)
+    del body, pos  # the scratch below takes the body's place
+    window = window.reshape((L,) * D)
+    transform_window(window, params, inverse=True, cells=held // 8)
+    if _digest(b" ".join(head[:5]), window.reshape(-1).view(np.uint8)) != head[5]:
+        raise ValueError(f"model digest does not match its header and body{older_values}")
+    return params, window

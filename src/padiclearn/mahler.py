@@ -9,9 +9,11 @@ the inverse binomial matrix of the 1-d closed form
 
 and a coefficient grid is evaluated by contracting every axis with the
 binomial rows C(x, l) mod p**E of the query coordinates, made by
-BinomialTable.rows from the table's factorial unit parts; the inverse
-matrix is the same kernel's rows at x = 0, ..., n - 1.  Residue products
-are summed mod p**E only in _mulmod.
+BinomialTable.rows from the table's factorial unit parts.  Both square
+matrices are lower-triangular, so transform_window applies either one to a
+whole window in place; the fit's transform and the model file's save and
+load all run through it.  Residue products are summed mod p**E only in
+_mulmod, in int64 for the evaluators and in float64 for the transform.
 """
 
 from __future__ import annotations
@@ -59,10 +61,17 @@ class ResidueGrid:
 def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     """a @ b reduced mod `mod`, in a new int64 array; the one place residues multiply.
 
-    Residue operands and a contracted extent of at most MAX_AXIS_EXTENT keep
-    every int64 sum below 2**52, by the bound asserted next to the caps in padic.py.
+    The operands are both int64 or both float64, one dgemm whose sums turn into
+    int64 in place.  Residue operands and a contracted extent of at most
+    MAX_AXIS_EXTENT keep every sum below 2**52, by the bound asserted next to the
+    caps in padic.py, so a float64 sum is exact too, whatever its order.
     """
     out = np.matmul(a, b)
+    if out.dtype == np.float64:
+        # below 2**52, x + 2**52 holds x in its mantissa under the bits of 2.0**52
+        out += 2.0**52
+        out = out.view(np.int64)
+        out -= 0x4330000000000000
     padic.reduce_residues(out, mod)
     return out
 
@@ -79,19 +88,72 @@ def _contract(data: np.ndarray, mats, mod: int) -> np.ndarray:
     return acc
 
 
+def _block_matrix(table: BinomialTable, i0: int, i1: int, inverse: bool) -> np.ndarray:
+    """Rows i0..i1-1 of C(i, j) mod p**E for j < i1, or of (-1)**(i - j) * C(i, j), as float64."""
+    mod = table.p**table.E
+    mat = table.rows(np.arange(i0, i1), i1)
+    if inverse:  # negate where i - j is odd: odd columns of even rows, even of odd
+        for odd in (mat[i0 % 2 :: 2, 1::2], mat[1 - i0 % 2 :: 2, 0::2]):
+            np.subtract(mod, odd, out=odd)
+            padic.reduce_residues(odd, mod)  # mod - 0 back to 0
+    return mat.astype(np.float64)
+
+
+def transform_window(
+    window: np.ndarray, params: LearningParams, inverse: bool, cells: int | None = None
+):
+    """Contract every axis of a C-contiguous cube of residues mod p**E in place.
+
+    The matrix is C(i, j) mod p**E, which takes a coefficient window to its
+    values f(x) on the window, or with inverse its inverse (-1)**(i - j) * C(i, j),
+    which takes values to coefficients.  It is lower-triangular, so an axis's
+    output rows are made in blocks from the last row down, and a block reads only
+    rows that are not yet overwritten.  A block's matrix rows come from
+    BinomialTable.rows; the columns (every index of the other axes) go through in
+    slabs, each a float64 copy of the rows the block reads, freed after one
+    float64 _mulmod.  The float64 scratch stays within CHUNK_CELLS cells and
+    within `cells` if given, but holds at least one row and one column: the
+    block's matrix, which peaks at two cells per entry while it is built, takes
+    a quarter, and a slab's copy and product beside it the rest.
+    """
+    ext, D, mod = window.shape[0], window.ndim, params.modulus
+    if not window.flags.c_contiguous:
+        raise ValueError("the window must be C-contiguous to be transformed in place")
+    budget = padic.CHUNK_CELLS if cells is None else min(cells, padic.CHUNK_CELLS)
+    table = binomial_table(params.p, params.E, ext - 1, ext - 1)
+    step = max(1, min(ext, budget // (4 * ext)))
+    for d in range(D):
+        view = window.reshape(ext**d, ext, -1)  # axis d in the middle
+        A, B = view.shape[0], view.shape[2]
+        for i1 in range(ext, 0, -step):
+            i0 = max(0, i1 - step)
+            mat = _block_matrix(table, i0, i1, inverse)
+            cols = max(1, (budget - mat.size) // (i1 + len(mat)))
+            na, nb = max(1, cols // B), min(B, cols)
+            for a0 in range(0, A, na):
+                for b0 in range(0, B, nb):
+                    src = view[a0 : a0 + na, :i1, b0 : b0 + nb]
+                    op = np.empty((i1, len(src), src.shape[2]))
+                    op[...] = src.transpose(1, 0, 2)
+                    out = _mulmod(mat, op.reshape(i1, -1), mod)
+                    del op  # before the next slab's copy is made
+                    out = out.reshape(len(mat), len(src), src.shape[2]).transpose(1, 0, 2)
+                    view[a0 : a0 + na, i0:i1, b0 : b0 + nb] = out
+                    del out
+            del mat  # before the next block's is built
+
+
 def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
     """Transform a value grid into its coefficient grid.
 
-    Every axis is contracted with the inverse binomial matrix
-    (-1)**(i - j) * C(i, j) mod p**E; afterwards entry l holds the
-    coefficient of prod_d C(x_d, l_d).  The input grid is left untouched.
+    An int64 copy of the grid is contracted on every axis with the inverse
+    binomial matrix (-1)**(i - j) * C(i, j) mod p**E, in place by
+    transform_window; afterwards entry l holds the coefficient of
+    prod_d C(x_d, l_d).  The input grid is left untouched.
     """
-    params, n = grid.params, grid.extent
-    idx = np.arange(n)
-    inverse = binomial_table(params.p, params.E, n - 1, n - 1).rows(idx, n)
-    inverse[np.add.outer(idx, idx) % 2 == 1] *= -1
-    inverse %= params.modulus
-    return ResidueGrid(params, _contract(grid.data, [inverse] * params.D, params.modulus))
+    out = grid.data.copy()
+    transform_window(out, grid.params, inverse=True)
+    return ResidueGrid(grid.params, out)
 
 
 def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndarray:

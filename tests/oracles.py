@@ -74,6 +74,20 @@ def pascal_table(modulus: int, nmax: int, kmax: int) -> np.ndarray:
     return data
 
 
+def value_window(coeffs, modulus: int) -> np.ndarray:
+    """A coefficient window's values sum_l c_l * prod_d C(x_d, l_d) mod modulus at its cells.
+
+    Every axis in turn is contracted with the pascal_table matrix C(x, l) for
+    x, l below the window's extent, in int64 and reduced after each axis.
+    """
+    out = np.asarray(coeffs).astype(np.int64)
+    n = out.shape[0]
+    table = pascal_table(modulus, n - 1, n - 1)
+    for axis in range(out.ndim):
+        out = np.moveaxis(np.tensordot(table, out, axes=([1], [axis])) % modulus, 0, axis)
+    return out
+
+
 def trie_node_count(points, p: int, E: int) -> int:
     """1 + the number of distinct non-empty prefixes of the points' digit strings.
 

@@ -14,6 +14,7 @@ from oracles import (
     raw_lzma2,
     series_value,
     valuation,
+    value_window,
 )
 
 from padiclearn import learner, mahler
@@ -300,7 +301,9 @@ def test_end_to_end_matches_oracle():
 @pytest.mark.parametrize("stock", [False, True], ids=["random", "stock"])
 def test_mulmod_premise(monkeypatch, stock):
     # every product has residue operands and a contracted extent within
-    # MAX_AXIS_EXTENT: the premise of the 2**52 bound asserted in padic.py
+    # MAX_AXIS_EXTENT: the premise of the 2**52 bound asserted in padic.py; the
+    # transforms of the fit, the save and the load multiply in float64, the
+    # evaluators in int64
     rng = np.random.default_rng(37)
     configs = [(BENCHMARK_PARAMS, generate_p_positions(3, 100))] if stock else []
     for _ in range(0 if stock else 40):
@@ -314,9 +317,10 @@ def test_mulmod_premise(monkeypatch, stock):
     def checked(a, b, mod):
         assert mod == params.modulus  # the config under test, set below
         assert a.shape[-1] == b.shape[-2] <= MAX_AXIS_EXTENT
+        assert a.dtype == b.dtype
         for x in (a, b):
             assert 0 <= x.min() and x.max() < mod
-        calls.append(a.shape[-1])
+        calls.append(a.dtype.name)
         return real(a, b, mod)
 
     monkeypatch.setattr(mahler, "_mulmod", checked)
@@ -327,7 +331,15 @@ def test_mulmod_premise(monkeypatch, stock):
         est.predict_residue_batch(rng.integers(0, mod, size=(300, params.D)))
         batch_calls = len(calls)
         est.predict_residue_grid([rng.integers(0, mod, size=5)] * params.D)
-        assert 0 < fit_calls < batch_calls < len(calls)
+        grid_calls = len(calls)
+        buf = io.BytesIO()
+        write_coefficient_rows(buf, params, est.coeffs.data)
+        save_calls = len(calls)
+        buf.seek(0)
+        assert np.array_equal(read_coefficient_rows(buf)[1], est.coeffs.data)
+        assert 0 < fit_calls < batch_calls < grid_calls < save_calls < len(calls)
+        transforms = calls[:fit_calls] + calls[grid_calls:]
+        assert set(transforms) == {"float64"} and set(calls[fit_calls:grid_calls]) == {"int64"}
         calls.clear()
 
 
@@ -412,6 +424,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("piece", [None, 64])
     def test_body_is_the_window_in_digit_order(self, monkeypatch, piece):
+        # the body holds the window's values, the series at each of its cells
         # a 64-byte piece cuts 8-cell slabs over a trailing block of at most 8 cells
         if piece:
             monkeypatch.setattr(learner, "_PIECE", piece)
@@ -423,7 +436,7 @@ class TestPersistence:
             p, D = int(rng.choice([2, 3, 5, 7, 11])), int(rng.integers(1, 5))
             configs.append((p, D, int(rng.integers(1, int(2000 ** (1 / D)) + 1))))
         for p, D, L in configs:
-            # values 0 .. L**D - 1 tell every cell apart
+            # coefficients 0 .. L**D - 1 tell every cell apart
             E = next(E for E in range(1, 30) if p**E >= L**D)
             params = LearningParams(p=p, E=E, D=D, M=L)
             window = np.arange(L**D).reshape((L,) * D)
@@ -431,7 +444,8 @@ class TestPersistence:
             write_coefficient_rows(buf, params, window)
             stream = buf.getvalue().split(b"\n", 1)[1]
             raw = lzma.decompress(stream, lzma.FORMAT_RAW, filters=[{"id": lzma.FILTER_LZMA2}])
-            assert raw == digit_planes(p, E, digit_order(p, D, L)), (p, D, L)
+            values = value_window(window, p**E).reshape(-1)
+            assert raw == digit_planes(p, E, values[digit_order(p, D, L)]), (p, D, L)
             buf.seek(0)
             assert np.array_equal(read_coefficient_rows(buf)[1], window), (p, D, L)
 
@@ -495,9 +509,10 @@ class TestPersistence:
         assert peak < stream + (size + 1) + size + 4 * learner._PIECE + 2**16
 
     def test_load_peak_past_the_dictionary_is_body_and_window(self, tmp_path):
-        # a sparse window just over the 8 MiB dictionary: the fold of the planes
-        # into a body and the gather into a new window, not the decode, set the
-        # peak, at about twice the window (8 one-bit planes take its size)
+        # sparse values just over the 8 MiB dictionary: the fold of the planes into
+        # a body and the gather into a new window, not the decode, set the peak, at
+        # about twice the window (8 one-bit planes take its size); the transform
+        # back to coefficients comes after the body is freed, in its place
         params = LearningParams(p=2, E=8, D=2, M=2900)
         size = 2900**2
         assert learner._lzma2(params.residue_dtype, size)["dict_size"] == 8 << 20 < size
@@ -505,6 +520,7 @@ class TestPersistence:
         window = np.zeros(size, np.uint8)
         window[rng.integers(0, size, 1000)] = rng.integers(1, 256, 1000)
         window = window.reshape(2900, 2900)
+        mahler.transform_window(window, params, inverse=True)  # the values' coefficients
         path = tmp_path / "model.bin"
         with open(path, "wb") as fh:
             write_coefficient_rows(fh, params, window)
@@ -516,9 +532,10 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         assert np.array_equal(back, window)
-        # the planes plus one byte or the window, the body, the positions' trailing
-        # rows (2n rows of at most _PIECE bytes, n = 12 digits here), a few
-        # slab-sized temporaries, then 64 KiB for small objects
+        # the planes plus one byte or the window, the body or the transform's
+        # scratch, the positions' trailing rows (2n rows of at most _PIECE bytes,
+        # n = 12 digits here), a few slab-sized temporaries, then 64 KiB for small
+        # objects
         assert peak < (size + 1) + size + (2 * 12 + 4) * learner._PIECE + 2**16
 
     def test_failed_save_keeps_the_old_model(self, tmp_path, monkeypatch):
@@ -559,12 +576,15 @@ class TestPersistence:
 
     @staticmethod
     def _planes(window: bytes) -> bytes:
-        """The digit planes of a row-major p=2 E=4 D=2 L=4 window of uint8 values."""
-        return digit_planes(2, 4, np.frombuffer(window, np.uint8)[digit_order(2, 2, 4)])
+        """The body planes of a row-major p=2 E=4 D=2 L=4 window of uint8 coefficients."""
+        values = value_window(np.frombuffer(window, np.uint8).reshape(4, 4), 16).reshape(-1)
+        return digit_planes(2, 4, values[digit_order(2, 2, 4)])
 
     def test_flipped_body_byte_rejected(self, tmp_path):
         path, head, stream = self._saved(tmp_path)
         window = model_window(path)
+        path.write_bytes(head + b"\n" + raw_lzma2(self._planes(window)))
+        assert model_window(path) == window
         for i in (0, 7, len(window) - 1):
             # values stay below 16 and the stream is well formed, so only the digest can tell
             flipped = window[:i] + bytes([window[i] ^ 1]) + window[i + 1 :]
@@ -576,14 +596,18 @@ class TestPersistence:
         # bodies written before digit planes held residues, row-major and then in
         # digit order; they fail the size check, the group check or the digest,
         # and each error names older models
-        hint = ", or a model saved before bodies were digit planes; learn it again"
+        hint = ", or a model saved before bodies {}; learn it again from its samples"
+        planes_hint = hint.format("were digit planes")
+        values_hint = hint.format("held window values")
         cases = [
-            (2, 4, 2, 4, np.arange(16), r"must be 8 bytes, 4 digit planes"),
-            (2, 8, 2, 4, np.arange(16) * 7, "digest does not match"),  # 16 bytes either way
+            (2, 4, 2, 4, np.arange(16), r"must be 8 bytes, 4 digit planes", planes_hint),
+            # 16 bytes either way
+            (2, 8, 2, 4, np.arange(16) * 7, "digest does not match", values_hint),
             # 3**10 - 1 fits uint16, whose low byte 250 is no 5 base-3 digits
-            (3, 10, 1, 5, np.array([250, 1, 2, 3, 4]), "digit plane 9 has a byte 250 >= 3\\*\\*5"),
+            (3, 10, 1, 5, np.array([250, 1, 2, 3, 4]), "digit plane 9 has a byte 250 >= 3\\*\\*5",
+             planes_hint),
         ]
-        for p, E, D, M, values, message in cases:
+        for p, E, D, M, values, message, named in cases:
             params = LearningParams(p=p, E=E, D=D, M=M)
             window = values.reshape((M,) * D)
             buf = io.BytesIO()
@@ -593,21 +617,44 @@ class TestPersistence:
             row_major, digit_ordered = cells.tobytes(), cells[digit_order(p, D, M)].tobytes()
             assert (row_major != digit_ordered) == (D > 1)  # p = 2 < L = 4: the orders differ
             for older in (row_major, digit_ordered):
-                with pytest.raises(ValueError, match=message + ".*" + hint):
+                with pytest.raises(ValueError, match=message + ".*" + named):
                     read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))
-        # at E = 1 and p > 16 a byte holds one digit, a residue, so a digit-ordered
-        # body is one plane: it loads, and with L <= p a digest error names no older model
-        params = LearningParams(p=17, E=1, D=2, M=4)
-        window = np.arange(16).reshape(4, 4)
+        # bodies written before they held window values are the digit planes of the
+        # coefficients: the size and groups of value planes, so only the digest fails
+        for p, E, D, M in [(2, 4, 2, 4), (3, 2, 1, 5), (17, 1, 2, 4), (257, 2, 2, 3)]:
+            params = LearningParams(p=p, E=E, D=D, M=M)
+            window = np.random.default_rng(p).integers(0, p**E, (M,) * D)
+            buf = io.BytesIO()
+            write_coefficient_rows(buf, params, window)
+            head = buf.getvalue().split(b"\n", 1)[0]
+            older = digit_planes(p, E, window.reshape(-1)[digit_order(p, D, M)])
+            values = value_window(window, p**E).reshape(-1)[digit_order(p, D, M)]
+            assert older != digit_planes(p, E, values)
+            message = "digest does not match its header and body" + values_hint
+            with pytest.raises(ValueError, match=message):
+                read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))
+        # at L = 1 the value is the coefficient, so either older body loads; at E = 1
+        # and p > 16 a byte holds one digit, a residue, so a digit-ordered body is one
+        # plane too, and a digest error names no older model
+        params = LearningParams(p=17, E=1, D=2, M=4, L=1)
         buf = io.BytesIO()
-        write_coefficient_rows(buf, params, window)
+        write_coefficient_rows(buf, params, np.array([[9]]))
         head = buf.getvalue().split(b"\n", 1)[0]
-        older = window.reshape(-1)[digit_order(17, 2, 4)].astype(np.uint8).tobytes()
-        back = read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))[1]
-        assert np.array_equal(back, window)
-        flipped = older[:-1] + bytes([older[-1] ^ 1])
+        assert digit_planes(17, 1, [9]) == bytes([9])
+        back = read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([9]))))[1]
+        assert back.tolist() == [[9]]
         with pytest.raises(ValueError, match=r"digest does not match its header and body$"):
-            read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(flipped)))
+            read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([8]))))
+        # at L = 1 with more planes the coefficient planes load; a residue body fails
+        params = LearningParams(p=2, E=4, D=3, M=2, L=1)
+        buf = io.BytesIO()
+        write_coefficient_rows(buf, params, np.array([[[11]]]))
+        head = buf.getvalue().split(b"\n", 1)[0]
+        older = digit_planes(2, 4, [11])
+        back = read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))[1]
+        assert back.tolist() == [[[11]]]
+        with pytest.raises(ValueError, match="must be 4 bytes.*" + planes_hint):
+            read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([11]))))
 
     @pytest.mark.parametrize(
         "p, E, values, planes, message",
@@ -659,7 +706,8 @@ class TestPersistence:
         buf = io.BytesIO()
         write_coefficient_rows(buf, params, window)
         stream = buf.getvalue().split(b"\n", 1)[1]
-        planes = digit_planes(p, E, window.reshape(-1)[digit_order(p, D, M)])
+        values = value_window(window, params.modulus).reshape(-1)
+        planes = digit_planes(p, E, values[digit_order(p, D, M)])
         assert len(planes) == plane_bytes
         # fed piece by piece, the compressor writes what one call would
         k, dtype = learner._digit_groups(p)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import digit_planes, mahler_coeffs_1d, raw_lzma2, series_value
+from oracles import digit_planes, mahler_coeffs_1d, raw_lzma2, series_value, value_window
 
 from padiclearn import mahler, padic
 from padiclearn.learner import read_coefficient_rows, write_coefficient_rows
@@ -13,6 +13,7 @@ from padiclearn.mahler import (
     evaluate_at_points,
     evaluate_on_grid,
     mahler_transform,
+    transform_window,
 )
 from padiclearn.padic import LearningParams, binomial_table
 
@@ -125,6 +126,68 @@ class TestTransform:
             lhs = mahler_transform(gsum).data
             rhs = (mahler_transform(g1).data + mahler_transform(g2).data) % mod
             assert np.array_equal(lhs, rhs)
+
+
+class TestTransformWindow:
+    # (p, E, D, L): D = 1..4, L = 1, L past and not a multiple of a small budget's
+    # row block, odd and wide primes, and E = 20, whose residues are uint32
+    CONFIGS = [
+        (2, 3, 2, 1), (3, 2, 4, 1), (2, 10, 1, 37), (2, 20, 1, 50), (3, 5, 1, 23),
+        (65521, 1, 1, 19), (2, 7, 2, 9), (3, 4, 2, 13), (65521, 1, 2, 6), (2, 20, 2, 11),
+        (2, 6, 3, 7), (3, 3, 3, 5), (2, 20, 3, 6), (65521, 1, 3, 4), (2, 5, 4, 5),
+        (3, 2, 4, 4), (2, 20, 4, 3), (65521, 1, 4, 3),
+    ]
+
+    @pytest.mark.parametrize("budget", [None, 64], ids=["default", "small"])
+    def test_matches_the_oracles_and_inverts(self, monkeypatch, budget):
+        # a 64-cell budget cuts the triangle into blocks of 1 to 5 rows and every
+        # axis's columns into slabs of a few; the default takes each axis whole
+        if budget:
+            monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
+        rng = np.random.default_rng(49)
+        for p, E, D, L in self.CONFIGS:
+            params = LearningParams(p=p, E=E, D=D, M=L)
+            values = rng.integers(0, params.modulus, size=(L,) * D)
+            want = oracle_tensor_transform(ResidueGrid(params, values))
+            for dtype in (np.int64, params.residue_dtype):
+                window = values.astype(dtype)
+                transform_window(window, params, inverse=True)
+                assert np.array_equal(window, want), (p, E, D, L, dtype)
+                assert window.dtype == dtype
+                transform_window(window, params, inverse=False)
+                assert np.array_equal(window, values), (p, E, D, L, dtype)
+            coeffs = values.copy()  # read as coefficients, the forward direction's input
+            transform_window(coeffs, params, inverse=False)
+            assert np.array_equal(coeffs, value_window(values, params.modulus))
+            assert np.array_equal(mahler_transform(ResidueGrid(params, values)).data, want)
+
+    def test_rejects_a_strided_window(self):
+        params = LearningParams(p=2, E=4, D=2, M=4)
+        window = np.zeros((4, 8), np.int64)[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            transform_window(window, params, inverse=True)
+
+    @pytest.mark.parametrize("D, L", [(2, 512), (3, 64)])
+    def test_fit_transform_peaks_at_input_copy_and_budget(self, monkeypatch, D, L):
+        # 2**18 int64 cells: the input, its copy transformed in place, and 2**14
+        # float64 cells of scratch; contracting an axis into a new array each
+        # round would hold about two windows beside the input
+        budget = 1 << 14
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
+        params = LearningParams(p=2, E=10, D=D, M=L)
+        data = np.random.default_rng(50).integers(0, 1024, size=(L,) * D)
+        want = oracle_tensor_transform(ResidueGrid(params, data[(slice(0, 4),) * D]))
+        tracemalloc.start()
+        try:
+            grid = ResidueGrid(params, data.copy())
+            out = mahler_transform(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the transform's corner is the corner's transform: the matrix is triangular
+        assert np.array_equal(out.data[(slice(0, 4),) * D], want)
+        # the input, the copy, the budget, then 64 KiB for the table and small objects
+        assert peak < 2 * data.nbytes + 8 * budget + 2**16
 
 
 class TestOracle1d:
