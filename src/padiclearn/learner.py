@@ -152,6 +152,11 @@ class DefiningFunctionEstimate:
 # The model file.  These two stay apart from save and load because
 # perfbench/tracer.py times the format by their names.
 
+# the body checks end with this: a model saved in an earlier layout fails one of them
+_EARLIER = (
+    "; the file may be a model saved in an earlier layout, to be learned again from its samples"
+)
+
 # stream bytes in and window bytes out per decoder call; CPython hands back a
 # full output piece of its first block size, 32 KiB, without copying it
 _PIECE = 1 << 15
@@ -171,15 +176,13 @@ def _lzma2(dtype: np.dtype, size: int) -> dict:
 def _digit_groups(p: int) -> tuple[int, np.dtype]:
     """(k, dtype): a digit plane packs k base-p digits, high first, into each dtype value.
 
-    k is the most digits whose p**k values fit a byte; a prime past 256 stores one
-    digit per value of the smallest unsigned dtype that holds p - 1.
+    k is the most digits with p**k <= 256, or 1 for a prime past 256, and dtype
+    the smallest little-endian unsigned type that holds p**k - 1.
     """
-    if p > 256:
-        return 1, np.min_scalar_type(p - 1).newbyteorder("<")
     k = 1
     while p ** (k + 1) <= 256:
         k += 1
-    return k, np.dtype(np.uint8)
+    return k, np.min_scalar_type(p**k - 1).newbyteorder("<")
 
 
 def _stream_bound(size: int) -> int:
@@ -302,24 +305,21 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     so a huge, corrupt or bomb file costs bounded memory: the stream, the
     planes, the decoder's dictionary and a few pieces.  The stream and decoder
     go first; then the planes are folded, high digit first, into a digit-ordered
-    body of residues, _PIECE // 8 groups at a time through a table of each
-    group's digits, and go too; then the body is put back in row-major order,
-    slab by slab of _digit_slabs into a new window of the series' values, and
-    goes too.  Last, mahler.transform_window takes the values back to
-    coefficients in place by (-1)**(i - j) * C(i, j), its float64 scratch within
-    the bytes the body held, and the digest is checked.  The load peaks at the
-    body beside the larger of the planes and the window, once both outgrow the
-    8 MiB dictionary.  Raises ValueError, in this order, for a body that is not
-    a valid LZMA2 stream (as every zlib model is), planes of the wrong size, a
-    truncated or overlong stream, bytes after the stream, a group that is not k
-    base-p digits or a nonzero digit past the last cell, both naming the plane,
-    and a digest mismatch.  Bodies written before they were digit planes
-    (residues in row-major or in digit order) fail the size check, the group
-    checks or the digest, which then name them, unless E = 1 and k = 1 (p > 16),
-    where a digit is a residue and a digit-ordered body is its own single plane.
-    Bodies of coefficient planes, written before bodies held window values, have
-    the size and groups of value planes and fail the digest, which names them,
-    unless L = 1, where the values are the coefficients.
+    body of residues, _PIECE // 8 groups at a time, through a table of each
+    group's digits where k > 1, and go too; then the body is put back in
+    row-major order, slab by slab of _digit_slabs into a new window of the
+    series' values, and goes too.  Last, mahler.transform_window takes the
+    values back to coefficients in place by (-1)**(i - j) * C(i, j), its
+    scratch sized from the window as there, so past its floor within the bytes
+    the freed body held, and the digest is checked.  The load peaks at the body beside the larger of the
+    planes and the window, once both outgrow the 8 MiB dictionary.  Raises
+    ValueError, in this order, for a body that is not a valid LZMA2 stream,
+    planes of the wrong size, a truncated or overlong stream, bytes after the
+    stream, a group that is not k base-p digits or a nonzero digit past the
+    last cell, both naming the plane, and a digest mismatch.  The reader knows
+    this one layout: a model saved in an earlier one fails a body check, and
+    each body check's error ends with one hint, to learn it again from its
+    samples.
     """
     line = fh.readline(128)  # far longer than any header the caps admit
     head = line.split()
@@ -334,12 +334,6 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     cells = L**D
     groups = -(-cells // k)
     size = E * groups * dtype.itemsize
-    # an older body, when its layout is not these bytes, fails with a hint; residues
-    # saved before digit planes can fail any check, coefficient planes the digest
-    residues = E > 1 or k > 1 or (D > 1 and L > p)
-    older = ", or a model saved before bodies {}; learn it again from its samples"
-    older_planes = older.format("were digit planes") if residues else ""
-    older_values = older.format("held window values") if residues or L > 1 else ""
     bound = _stream_bound(size)
     stream = memoryview(fh.read(bound + 1))
     decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[_lzma2(dtype, size)])
@@ -356,15 +350,12 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         if decoder.eof and not got:  # the end byte alone: no window is empty
             raise lzma.LZMAError("the stream ends before any data")
     except lzma.LZMAError as exc:
-        raise ValueError(
-            f"model body is not a valid LZMA2 stream ({exc}); zlib and uncompressed"
-            " models no longer load"
-        ) from exc
+        raise ValueError(f"model body is not a valid LZMA2 stream ({exc}){_EARLIER}") from exc
     if got > size or (decoder.eof and got < size):
         n = "more" if got > size else got
         raise ValueError(
             f"model body must be {size} bytes, {E} digit planes of {groups} {dtype.name}"
-            f" groups, got {n}{older_planes}"
+            f" groups, got {n}{_EARLIER}"
         )
     if not decoder.eof:
         why = f"runs past {bound} bytes" if len(stream) > bound else "is truncated"
@@ -379,16 +370,16 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         s = int(bad[0])
         top = planes[s].max()
         what = f"digit {top} >= {p}" if k == 1 else f"byte {top} >= {p}**{k}, not {k} digits"
-        raise ValueError(f"model body's digit plane {E - 1 - s} has a {what}{older_planes}")
-    lut = None  # the digits of each byte group, high first, built per load
-    if p <= 256:
+        raise ValueError(f"model body's digit plane {E - 1 - s} has a {what}{_EARLIER}")
+    lut = None  # the digits of each k-digit group, high first, built per load
+    if k > 1:
         lut = np.arange(p**k)[:, None] // p ** np.arange(k - 1, -1, -1) % p
         lut = lut.astype(params.residue_dtype)
         bad = np.flatnonzero(lut[planes[:, -1], k - (groups * k - cells) :].any(axis=1))
         if bad.size:
             raise ValueError(
                 f"model body's digit plane {E - 1 - int(bad[0])} has a nonzero digit past"
-                f" the last cell{older_planes}"
+                f" the last cell{_EARLIER}"
             )
     body = np.zeros(groups * k, params.residue_dtype)
     step = _PIECE // 8
@@ -402,14 +393,13 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
             else:
                 part += np.take(lut, plane, axis=0, out=digits[: len(plane)])
     del planes, buf, part, plane  # the loop's views keep the planes alive
-    held = body.nbytes
     body = body[:cells]
     window = np.empty_like(body)
     for lo, hi, pos in _digit_slabs(params):
         window[lo:hi] = body[pos]
-    del body, pos  # the scratch below takes the body's place
+    del body, pos  # the transform's scratch takes the body's place
     window = window.reshape((L,) * D)
-    transform_window(window, params, inverse=True, cells=held // 8)
+    transform_window(window, params, inverse=True)
     if _digest(b" ".join(head[:5]), window.reshape(-1).view(np.uint8)) != head[5]:
-        raise ValueError(f"model digest does not match its header and body{older_values}")
+        raise ValueError(f"model digest does not match its header and body{_EARLIER}")
     return params, window

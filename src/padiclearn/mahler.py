@@ -99,9 +99,7 @@ def _block_matrix(table: BinomialTable, i0: int, i1: int, inverse: bool) -> np.n
     return mat.astype(np.float64)
 
 
-def transform_window(
-    window: np.ndarray, params: LearningParams, inverse: bool, cells: int | None = None
-):
+def transform_window(window: np.ndarray, params: LearningParams, inverse: bool):
     """Contract every axis of a C-contiguous cube of residues mod p**E in place.
 
     The matrix is C(i, j) mod p**E, which takes a coefficient window to its
@@ -111,15 +109,16 @@ def transform_window(
     rows that are not yet overwritten.  A block's matrix rows come from
     BinomialTable.rows; the columns (every index of the other axes) go through in
     slabs, each a float64 copy of the rows the block reads, freed after one
-    float64 _mulmod.  The float64 scratch stays within CHUNK_CELLS cells and
-    within `cells` if given, but holds at least one row and one column: the
-    block's matrix, which peaks at two cells per entry while it is built, takes
-    a quarter, and a slab's copy and product beside it the rest.
+    float64 _mulmod.  The float64 scratch stays within CHUNK_CELLS cells and,
+    above a floor of 2**16 cells, within the window's own bytes, so a window of
+    side at most 128 takes each axis in one block.  It holds at least one row
+    and one column: the block's matrix, which peaks at two cells per entry while
+    it is built, takes a quarter, and a slab's copy and product beside it the rest.
     """
     ext, D, mod = window.shape[0], window.ndim, params.modulus
     if not window.flags.c_contiguous:
         raise ValueError("the window must be C-contiguous to be transformed in place")
-    budget = padic.CHUNK_CELLS if cells is None else min(cells, padic.CHUNK_CELLS)
+    budget = min(padic.CHUNK_CELLS, max(1 << 16, window.nbytes // 8))
     table = binomial_table(params.p, params.E, ext - 1, ext - 1)
     step = max(1, min(ext, budget // (4 * ext)))
     for d in range(D):

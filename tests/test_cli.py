@@ -13,6 +13,10 @@ from padiclearn.cli import parse_and_dispatch, read_sample_file, write_sample_fi
 from padiclearn.learner import read_coefficient_rows
 
 SMALL = ["--p", "2", "--E", "6", "--D", "3", "--M", "16"]
+# the hint every model body check ends with
+EARLIER = (
+    "; the file may be a model saved in an earlier layout, to be learned again from its samples"
+)
 
 
 def run(*argv):
@@ -218,9 +222,9 @@ class TestErrors:
         cases = [
             (stream[:-2], "truncated"),
             (stream + b"\x00", "bytes after"),
-            (raw_lzma2(window * 2), "got more"),
-            (window, "uncompressed models no longer load"),
-            (zlib.compress(window), "zlib and uncompressed models no longer load"),
+            (raw_lzma2(window * 2), "got more" + EARLIER),
+            (window, EARLIER),
+            (zlib.compress(window), EARLIER),
         ]
         for body, message in cases:
             model.write_bytes(head + b"\n" + body)
