@@ -25,7 +25,7 @@ from .mahler import (
     mahler_transform,
     transform_window,
 )
-from .padic import BinomialTable, LearningParams, as_points, binomial_table
+from .padic import BinomialTable, LearningParams, as_coordinates, as_points, binomial_table
 from .trie import PadicTrie
 
 
@@ -166,11 +166,18 @@ def _lzma2(dtype: np.dtype, size: int) -> dict:
     """The one LZMA2 filter over size bytes of dtype digit groups.
 
     Its literal and position bits align to a group, none for byte groups, and
-    its dictionary spans the planes, between 4 KiB and 8 MiB.
+    its dictionary spans the planes, between 4 KiB and 8 MiB.  Its hash-chain
+    match finder tries up to 256 candidates and stops early only at a 273-byte
+    match, LZMA2's longest, so a learned model's long runs of equal digits go
+    out as long matches.  These three fields steer only the encoder: the
+    decoder reads any LZMA2 stream with this dictionary, lc, lp and pb.
     """
     k = dtype.itemsize.bit_length() - 1
     dict_size = min(8 << 20, max(4 << 10, size))
-    return dict(id=lzma.FILTER_LZMA2, preset=6, lc=0, lp=k, pb=k, dict_size=dict_size)
+    return dict(
+        id=lzma.FILTER_LZMA2, preset=6, lc=0, lp=k, pb=k, dict_size=dict_size,
+        mf=lzma.MF_HC4, depth=256, nice_len=273,
+    )
 
 
 def _digit_groups(p: int) -> tuple[int, np.dtype]:
@@ -265,15 +272,20 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     header's fields determine all three.  The digest is a hex blake2b over the
     five header fields and the row-major coefficient window, so it depends on
     neither the layout nor the liblzma build.  Planes are packed piece by piece
-    into one compressor, so the save holds no plane buffer.  Raises ValueError
-    for a window value outside [0, p**E), which no plane holds.
+    into one compressor, so the save holds no plane buffer.  Raises ValueError,
+    before writing anything, for a window that is not integral, whose shape is
+    not (L,) * D, or with a value outside [0, p**E), which no plane holds.
     """
     p, E, mod = params.p, params.E, params.modulus
-    window = np.asarray(window)
+    window = as_coordinates(window)
+    shape = (params.L,) * params.D
+    if window.shape != shape:
+        raise ValueError(f"window must have shape {shape}, got {window.shape}")
     if window.min() < 0 or window.max() >= mod:
         raise ValueError(f"window entries must lie in [0, {mod})")
     fields = f"{p} {E} {params.D} {params.M} {params.L}".encode()
-    values = np.array(window, params.residue_dtype).reshape((params.L,) * params.D)
+    values = np.array(window, params.residue_dtype)
+    del window  # as_coordinates' int64 copy, where it made one
     fh.write(fields + b" " + _digest(fields, values.reshape(-1).view(np.uint8)) + b"\n")
     transform_window(values, params, inverse=False)
     cells = values.reshape(-1)

@@ -48,6 +48,27 @@ def model_window(path) -> bytes:
         return read_coefficient_rows(fh)[1].tobytes()
 
 
+def lzma2_chunks(stream: bytes) -> list[str]:
+    """The kind of each chunk of a raw LZMA2 stream, "stored" or "lzma", by its control byte.
+
+    A stored chunk is the control byte, its size - 1 in 2 bytes and the data; a
+    compressed one is the control byte, 2 bytes of unpacked size, its packed size
+    - 1 in 2 bytes, a properties byte where the control byte is 0xC0 or more, then
+    the packed data.  The end byte 0 stops the walk.
+    """
+    kinds, i = [], 0
+    while stream[i]:
+        control = stream[i]
+        if control < 0x80:
+            kinds.append("stored")
+            i += 3 + int.from_bytes(stream[i + 1 : i + 3], "big") + 1
+        else:
+            kinds.append("lzma")
+            i += 5 + (control >= 0xC0) + int.from_bytes(stream[i + 3 : i + 5], "big") + 1
+    assert i == len(stream) - 1
+    return kinds
+
+
 def random_setup(rng, max_E=5, max_D=3, max_M=6):
     """Random params with M <= p**E so the whole grid is predictable."""
     p = int(rng.choice([2, 3]))
@@ -727,6 +748,22 @@ class TestPersistence:
     def test_edge_layout_round_trip(self, p, E, D, M, plane_bytes):
         params = LearningParams(p=p, E=E, D=D, M=M)
         window = np.random.default_rng(p + M).integers(0, params.modulus, size=(M,) * D)
+        self._round_trip(params, window, plane_bytes)
+
+    def test_learned_layout_round_trip(self):
+        # a learned window's planes compress, so its stream is compressed chunks,
+        # which differ under any other encoder setting; its 8 planes of 8,192 bytes
+        # go to the compressor in 16 pieces of 4,096 groups
+        params = LearningParams(p=2, E=8, D=2, M=256)
+        samples = SampleSet(params, np.random.default_rng(43).integers(0, 256, (200, 2)))
+        window = learn(samples).coeffs.data
+        stream = self._round_trip(params, window, 65_536)
+        assert set(lzma2_chunks(stream)) == {"lzma"}
+
+    @staticmethod
+    def _round_trip(params, window, plane_bytes) -> bytes:
+        """Save window, check its stream and its load, and return the stream."""
+        p, E, D, M = params.p, params.E, params.D, params.M
         buf = io.BytesIO()
         write_coefficient_rows(buf, params, window)
         stream = buf.getvalue().split(b"\n", 1)[1]
@@ -741,6 +778,7 @@ class TestPersistence:
         back_params, back = read_coefficient_rows(buf)
         assert back_params == params and np.array_equal(back, window)
         assert back.dtype == params.residue_dtype
+        return stream
 
     def test_tampered_header_field_rejected(self, tmp_path):
         path, head, body = self._saved(tmp_path)
@@ -873,6 +911,24 @@ class TestPersistence:
         bad.write_bytes(head + b"\n")
         with pytest.raises(ValueError, match="LZMA2 stream is truncated"):
             DefiningFunctionEstimate.load(bad)
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            (np.zeros((4, 16), np.int64), r"shape \(8, 8\), got \(4, 16\)"),
+            (np.zeros(64, np.int64), r"shape \(8, 8\), got \(64,\)"),
+            (np.full((8, 8), 1.5), "integer values, got dtype float64"),
+            (np.ones((8, 8), bool), "integer values, got dtype bool"),
+        ],
+        ids=["wrong-shape", "flat", "float", "bool"],
+    )
+    def test_malformed_window_rejected_before_the_header(self, window, message):
+        # the same 64 cells in another shape, or not integers, are refused, not coerced
+        params = LearningParams(p=2, E=4, D=2, M=16, L=8)
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match=message):
+            write_coefficient_rows(buf, params, window)
+        assert buf.getvalue() == b""
 
     def test_indexed_model_rejected(self, tmp_path):
         # a `p E D M L` header over `l_0 ... l_{D-1} value` lines, an older layout
