@@ -50,7 +50,7 @@ class SampleSet:
 # the fill's trie queries step through _FILL_CELLS // D nodes, counting only D of the
 # 3D + ED/8 + 1 int64 cells a node peaks at (FOUND: in CHANGES.md). 1 << 20 cut nim_stock
 # fit_peak_mb 107.8 -> 49.8 MiB, but query_peak_mb, RSS growth over heap the fit freed,
-# rose 0.14 -> 3.8 MiB; the step stays until ROADMAP item 1 and goes with the trie (item 3)
+# rose 0.14 -> 3.8 MiB; the step stays until ROADMAP item 1 and goes with the trie (item 5)
 _FILL_CELLS = 1 << 22
 
 

@@ -1,19 +1,17 @@
 """Mahler transform mod p**E and truncated-series evaluation.
 
-Both directions are one per-axis contraction of a grid with a matrix mod
-p**E.  A value grid over [0, n)**D becomes the coefficient grid of the
-product binomial basis prod_d C(x_d, l_d) by contracting every axis with
-the inverse binomial matrix of the 1-d closed form
+Both directions contract every axis of a grid with a matrix mod p**E.  A value
+grid over [0, n)**D becomes the coefficient grid of the product binomial basis
+prod_d C(x_d, l_d) by the inverse binomial matrix of the 1-d closed form
 
     c_i = sum_{j <= i} (-1)**(i - j) * C(i, j) * f(j)   (mod p**E),
 
-and a coefficient grid is evaluated by contracting every axis with the
-binomial rows C(x, l) mod p**E of the query coordinates, made by
-BinomialTable.rows from the table's factorial unit parts.  Both square
-matrices are lower-triangular, so transform_window applies either one to a
-whole window in place; the fit's transform and the model file's save and
-load all run through it.  Residue products are summed mod p**E only in
-_mulmod, in int64 for the evaluators and in float64 for the transform.
+and a coefficient grid is evaluated by the binomial rows C(x, l) mod p**E of
+the query coordinates, made by BinomialTable.rows.  One kernel, _contract_axis,
+contracts an axis by exact float64 GEMMs: in place for the fit's, the save's and
+the load's transforms, whose matrices are lower-triangular, and out of place for
+the grid evaluator's rounds and the point evaluator's first-coordinate partials.
+Residues are summed mod p**E only in _mulmod, in int64 for the per-point rounds.
 """
 
 from __future__ import annotations
@@ -61,10 +59,10 @@ class ResidueGrid:
 def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     """a @ b reduced mod `mod`, in a new int64 array; the one place residues multiply.
 
-    The operands are both int64 or both float64, one dgemm whose sums turn into
-    int64 in place.  Residue operands and a contracted extent of at most
-    MAX_AXIS_EXTENT keep every sum below 2**52, by the bound asserted next to the
-    caps in padic.py, so a float64 sum is exact too, whatever its order.
+    _contract_axis passes float64 operands, one dgemm whose sums turn into int64
+    in place; the per-point rounds pass int64 ones.  Residue operands and a
+    contracted extent of at most MAX_AXIS_EXTENT keep every sum below 2**52, by
+    the bound asserted next to the caps in padic.py: exact in float64 too.
     """
     out = np.matmul(a, b)
     if out.dtype == np.float64:
@@ -76,79 +74,69 @@ def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     return out
 
 
-def _contract(data: np.ndarray, mats, mod: int) -> np.ndarray:
-    """Contract axis d of data with mats[d] (out x in), reducing mod `mod`.
-
-    Each round contracts the leading axis and appends the result axis, so
-    after all D rounds the axes are back in order.
-    """
-    acc = data
-    for mat in mats:
-        acc = _mulmod(acc.reshape(len(acc), -1).T, mat.T, mod).reshape(acc.shape[1:] + (len(mat),))
-    return acc
-
-
-def _block_matrix(table: BinomialTable, i0: int, i1: int, inverse: bool) -> np.ndarray:
-    """Rows i0..i1-1 of C(i, j) mod p**E for j < i1, or of (-1)**(i - j) * C(i, j), as float64."""
-    mod = table.p**table.E
-    mat = table.rows(np.arange(i0, i1), i1)
-    if inverse:  # negate where i - j is odd: odd columns of even rows, even of odd
-        for odd in (mat[i0 % 2 :: 2, 1::2], mat[1 - i0 % 2 :: 2, 0::2]):
-            np.subtract(mod, odd, out=odd)
-            padic.reduce_residues(odd, mod)  # mod - 0 back to 0
+def _block_matrix(table: BinomialTable, x: np.ndarray, width: int, inverse: bool = False):
+    """C(x_i, j) mod p**E for j < width, or (-1)**(x_i - j) * C(x_i, j), as float64."""
+    mat = table.rows(x, width)
+    if inverse:
+        mod = table.p**table.E
+        np.subtract(mod, mat, out=mat, where=np.not_equal.outer(x % 2, np.arange(width) % 2))
+        padic.reduce_residues(mat, mod)  # mod - 0 back to 0
     return mat.astype(np.float64)
+
+
+def _contract_axis(src: np.ndarray, dst: np.ndarray, rows, cells: int, mod: int):
+    """dst[a, i, b] = sum_j m[i, j] * src[a, j, b] mod `mod`, for (A, k, B) src and (A, n, B) dst.
+
+    rows(i0, i1) gives rows i0..i1-1 of the n x k matrix m as float64, over the w
+    columns they read.  Blocks of output rows go from the last row down, and the
+    columns (a, b) in slabs: a float64 copy of the w source rows, one _mulmod,
+    stored into dst; a lower-triangular m (w = i1, rows not yet overwritten) thus
+    contracts in place, dst the view src.  Within `cells` cells, but at least a
+    row and a column: a block of at most min(n, k) rows takes a quarter (its
+    matrix peaks at two cells an entry), a slab's copy and product the rest.
+    """
+    (A, k, B), n = src.shape, dst.shape[1]
+    step = max(1, min(n, k, cells // (4 * k)))
+    for i1 in range(n, 0, -step):
+        i0 = max(0, i1 - step)
+        mat = rows(i0, i1)
+        w = mat.shape[1]
+        cols = max(1, (cells - mat.size) // (w + len(mat)))
+        na, nb = max(1, cols // B), min(B, cols)
+        for a0 in range(0, A, na):
+            for b0 in range(0, B, nb):
+                part = src[a0 : a0 + na, :w, b0 : b0 + nb].transpose(1, 0, 2)
+                # one statement: the slab's copy and product go before the next slab's
+                dst[a0 : a0 + na, i0:i1, b0 : b0 + nb] = _mulmod(
+                    mat, part.astype(np.float64, order="C").reshape(w, -1), mod
+                ).reshape(len(mat), *part.shape[1:]).transpose(1, 0, 2)
+        del mat  # before the next block's is built
 
 
 def transform_window(window: np.ndarray, params: LearningParams, inverse: bool):
     """Contract every axis of a C-contiguous cube of residues mod p**E in place.
 
-    The matrix is C(i, j) mod p**E, which takes a coefficient window to its
-    values f(x) on the window, or with inverse its inverse (-1)**(i - j) * C(i, j),
-    which takes values to coefficients.  It is lower-triangular, so an axis's
-    output rows are made in blocks from the last row down, and a block reads only
-    rows that are not yet overwritten.  A block's matrix rows come from
-    BinomialTable.rows; the columns (every index of the other axes) go through in
-    slabs, each a float64 copy of the rows the block reads, freed after one
-    float64 _mulmod.  The float64 scratch stays within CHUNK_CELLS cells and,
-    above a floor of 2**16 cells, within the window's own bytes, so a window of
-    side at most 128 takes each axis in one block.  It holds at least one row
-    and one column: the block's matrix, which peaks at two cells per entry while
-    it is built, takes a quarter, and a slab's copy and product beside it the rest.
+    The lower-triangular matrix C(i, j) mod p**E takes a coefficient window to its
+    values f(x), its inverse (-1)**(i - j) * C(i, j) values to coefficients.  The
+    kernel's scratch stays within CHUNK_CELLS cells and, above a floor of 2**16,
+    the window's bytes, so a window of side at most 128 takes an axis in one block.
     """
-    ext, D, mod = window.shape[0], window.ndim, params.modulus
+    ext, D = window.shape[0], window.ndim
     if not window.flags.c_contiguous:
         raise ValueError("the window must be C-contiguous to be transformed in place")
-    budget = min(padic.CHUNK_CELLS, max(1 << 16, window.nbytes // 8))
+    cells = min(padic.CHUNK_CELLS, max(1 << 16, window.nbytes // 8))
     table = binomial_table(params.p, params.E, ext - 1, ext - 1)
-    step = max(1, min(ext, budget // (4 * ext)))
+    rows = lambda i0, i1: _block_matrix(table, np.arange(i0, i1), i1, inverse)
     for d in range(D):
         view = window.reshape(ext**d, ext, -1)  # axis d in the middle
-        A, B = view.shape[0], view.shape[2]
-        for i1 in range(ext, 0, -step):
-            i0 = max(0, i1 - step)
-            mat = _block_matrix(table, i0, i1, inverse)
-            cols = max(1, (budget - mat.size) // (i1 + len(mat)))
-            na, nb = max(1, cols // B), min(B, cols)
-            for a0 in range(0, A, na):
-                for b0 in range(0, B, nb):
-                    src = view[a0 : a0 + na, :i1, b0 : b0 + nb]
-                    op = np.empty((i1, len(src), src.shape[2]))
-                    op[...] = src.transpose(1, 0, 2)
-                    out = _mulmod(mat, op.reshape(i1, -1), mod)
-                    del op  # before the next slab's copy is made
-                    out = out.reshape(len(mat), len(src), src.shape[2]).transpose(1, 0, 2)
-                    view[a0 : a0 + na, i0:i1, b0 : b0 + nb] = out
-                    del out
-            del mat  # before the next block's is built
+        _contract_axis(view, view, rows, cells, params.modulus)
 
 
 def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
     """Transform a value grid into its coefficient grid.
 
-    An int64 copy of the grid is contracted on every axis with the inverse
-    binomial matrix (-1)**(i - j) * C(i, j) mod p**E, in place by
-    transform_window; afterwards entry l holds the coefficient of
-    prod_d C(x_d, l_d).  The input grid is left untouched.
+    transform_window takes an int64 copy of the grid in place; entry l then holds
+    the coefficient of prod_d C(x_d, l_d).  The input grid is left untouched.
     """
     out = grid.data.copy()
     transform_window(out, grid.params, inverse=True)
@@ -158,70 +146,82 @@ def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
 def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndarray:
     """Truncated-series values over a product grid of query coordinates.
 
-    axes is a D-sequence of 1-d integer arrays; the result has shape
-    (len(axes[0]), ..., len(axes[D-1])) and dtype params.residue_dtype.  One
-    tensor contraction per axis replaces the per-point sum.  The axes below
-    a slab axis s are contracted once, into a head; the rest run in slabs
-    along s, each copied into the output before the next; chunk_ranges picks s.
+    axes is a D-sequence of 1-d integer arrays; the result has shape (len(axes[0]),
+    ..., len(axes[D-1])).  Round d contracts axis d with the rows C(x, l) of axes[d]
+    by _contract_axis into params.residue_dtype; the rounds below a slab axis s,
+    which chunk_ranges picks, run once into a head, the rest per leading index of
+    the head and per slab along s, the last into the output.
     """
-    params, ext, D = coeffs.params, coeffs.extent, coeffs.params.D
-    bound = table.shape[0]
+    params, ext, D, bound = coeffs.params, coeffs.extent, coeffs.params.D, table.shape[0]
     if len(axes) != D:
         raise ValueError(f"got {len(axes)} axes, expected D = {D}")
-    rows = []
-    for a in axes:
-        arr = as_coordinates(a)
-        if arr.ndim != 1:
-            raise ValueError(f"each axis must be a 1-d array, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= bound):
+    xs = [as_coordinates(a) for a in axes]
+    for x in xs:
+        if x.ndim != 1:
+            raise ValueError(f"each axis must be a 1-d array, got shape {x.shape}")
+        if x.size and (x.min() < 0 or x.max() >= bound):
             raise ValueError(f"axis values must lie in [0, {bound})")
-        rows.append(table.rows(arr, ext))
-    sides = [len(r) for r in rows]
+    sides = [len(x) for x in xs]
     out = np.empty(sides, dtype=params.residue_dtype)
     if out.size == 0:
         return out
-    # cells after each contraction round: at slab axis s the head, round s - 1, stays
-    # for the sweep and each index of axis s carries its share of the later rounds
-    cells = [0] + [ext ** (D - 1 - d) * math.prod(sides[: d + 1]) for d in range(D)]
-    levels = [(cells[s], sides[s], sum(cells[s + 1 :]) // sides[s]) for s in range(D)]
-    s, slabs = padic.chunk_ranges(levels, "grid slab")
-    head = _contract(coeffs.data, rows[:s], params.modulus)
+    scratch = padic.CHUNK_CELLS // 2  # the kernel's; the plan has the rest
+
+    def contract(acc, d, x, dst=None):
+        src = acc.reshape(-1, ext, ext ** (D - 1 - d))
+        dst = np.empty((len(src), len(x), src.shape[2]), out.dtype) if dst is None else dst
+        rows = lambda i0, i1: _block_matrix(table, x[i0:i1], ext)
+        _contract_axis(src, dst.reshape(len(src), len(x), -1), rows, scratch, params.modulus)
+        return dst
+
+    # cells after each round but the last, which the kernel stores into the output:
+    # at slab axis s the head, round s - 1, stays for the sweep, and each index of s
+    # per leading index carries its share of the later rounds
+    cells = [0] + [ext ** (D - 1 - d) * math.prod(sides[: d + 1]) for d in range(D - 1)]
+    share = [max(1, sum(cells[s + 1 :]) // math.prod(sides[: s + 1])) for s in range(D)]
+    s, slabs = padic.chunk_ranges([*zip([scratch + c for c in cells], sides, share)], "grid slab")
+    head = coeffs.data
+    for d in range(s):
+        head = contract(head, d, xs[d])
+    head = head.reshape(math.prod(sides[:s]), -1)
+    out3 = out.reshape(len(head), sides[s], -1)  # each [p, lo:hi] is contiguous
     for lo, hi in slabs:
-        mats = [rows[s][lo:hi]] + rows[s + 1 :]
-        out[(slice(None),) * s + (slice(lo, hi),)] = _contract(head, mats, params.modulus)
+        for p, acc in enumerate(head):
+            for d in range(s, D):
+                acc = contract(acc, d, xs[d][lo:hi] if d == s else xs[d],
+                               out3[p, lo:hi] if d == D - 1 else None)
     return out
 
 
 def evaluate_at_points(coeffs: ResidueGrid, points, table: BinomialTable) -> np.ndarray:
     """Truncated-series values at an (n, D) array of points.
 
-    Points are grouped by their first coordinate; each group shares
-    one partial contraction of the coefficient grid, so the per-point
-    work drops from L**D to L**(D-1).  Groups are contracted in blocks
-    whose partials and binomial rows together stay within
-    CHUNK_CELLS cells, and points in runs whose scratch arrays do.  At
-    D <= 2 a run spans its block's groups, each point with its own partial
-    row; at D >= 3 a run stays in one group and shares its partial.
+    Points are grouped by their first coordinate; each group shares one partial,
+    _contract_axis on axis 0, so the per-point work drops from L**D to L**(D-1).
+    Groups go in blocks and points in runs, in the half of CHUNK_CELLS that the
+    kernel leaves.  At D <= 2 a run spans its block's groups, each point with
+    its own partial row; at D >= 3 a run stays in one group and shares its partial.
     """
     pts = as_points(points, coeffs.params.D, bound=table.shape[0])
     mod, ext, D = coeffs.params.modulus, coeffs.extent, coeffs.params.D
-    flat = coeffs.data.reshape(ext, -1)
+    src = coeffs.data.reshape(1, ext, -1)
     order = np.argsort(pts[:, 0], kind="stable")
     spts = pts[order]
     uniq, starts = np.unique(spts[:, 0], return_index=True)
     run_bounds = np.append(starts, spts.shape[0])
     out = np.empty(pts.shape[0], dtype=coeffs.params.residue_dtype)
-    # per group, a block holds the kernel's two cells per row entry, then a row
-    # and one partial; one block at a time
-    block = max(1, padic.CHUNK_CELLS // (ext + max(ext, ext ** (D - 1))))
-    # per point, beside a block's partials, a run holds the kernel's two cells
-    # per row entry, an index and two successive partials (at D <= 2 its
-    # partial row and value)
+    scratch = padic.CHUNK_CELLS // 2  # the kernel's, as in evaluate_on_grid
+    # per group, a block holds one partial and ext cells, one block at a time
+    block = max(1, (padic.CHUNK_CELLS - scratch) // (ext + src.shape[2]))
+    # per point, in what a block's partials leave of that half, a run holds two
+    # cells per row entry, an index and two successive partials
     per_point = 2 * ext + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
-    run = max(1, (padic.CHUNK_CELLS - min(block, uniq.size) * flat.shape[1]) // per_point)
+    run = max(1, (padic.CHUNK_CELLS - scratch - min(block, uniq.size) * src.shape[2]) // per_point)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]
-        partial = _mulmod(table.rows(vs, ext), flat, mod)
+        partial = np.empty((vs.size, src.shape[2]), np.int64)
+        rows = lambda i0, i1: _block_matrix(table, vs[i0:i1], ext)
+        _contract_axis(src, partial[None], rows, scratch, mod)
         bounds = run_bounds[b0 : b0 + vs.size + 1]
         spans = [(bounds[0], bounds[-1])] if D <= 2 else zip(bounds[:-1], bounds[1:])
         for beg, end in spans:

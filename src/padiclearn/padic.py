@@ -22,14 +22,14 @@ MAX_DIMENSION = 32  # D; numpy before 2.0 holds at most 32 axes per array
 # cells of one trie's (nodes + 1) x p child table, 512 MiB at int64
 MAX_TABLE_CELLS = 1 << 26
 
-# mahler._mulmod, where the transform and both evaluators form every sum,
-# adds at most MAX_AXIS_EXTENT products of two residues before reducing mod
-# p**E, and such a sum stays below 2**52: exact in int64, and in the
-# transform's float64 GEMMs too, since every partial sum, in whatever order
-# BLAS adds, is an integer below 2**53.  A binomial table's
-# row kernel multiplies three residues before it reduces, and its int32
-# arrays hold residues, factors t and v_p(t!) <= t for t below MAX_MODULUS,
-# beside a sentinel of -2**30 that keeps V[x] - V[l] - V[-1] within int32.
+# mahler._mulmod, where every sum is formed, adds at most MAX_AXIS_EXTENT
+# products of two residues before reducing mod p**E, and such a sum stays below
+# 2**52: exact in the point evaluator's int64 per-point rounds, and in the float64
+# GEMMs of mahler._contract_axis (the transforms, the grid rounds and the point
+# partials) too, as every partial sum, in whatever order BLAS adds, is an integer
+# below 2**53.  A binomial table's row kernel multiplies three residues before it
+# reduces; its int32 arrays hold residues, factors t and v_p(t!) <= t for t below
+# MAX_MODULUS, beside a sentinel -2**30 that keeps V[x] - V[l] - V[-1] in int32.
 assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**52
 assert (MAX_MODULUS - 1) ** 3 < 2**63
 assert MAX_MODULUS + 2**30 < 2**31
@@ -37,8 +37,8 @@ assert MAX_MODULUS + 2**30 < 2**31
 # in float64, which is exact for every integer below 2**53.
 assert MAX_GRID_CELLS < 2**53
 
-# point blocks and runs, grid slabs and the task-2 and task-4 sweeps keep scratch
-# within this many int64 cells, 8 MiB
+# point blocks and runs, grid slabs, the contraction kernel's float64 scratch and
+# the task-2 and task-4 sweeps keep scratch within this many 8-byte cells, 8 MiB
 CHUNK_CELLS = 1 << 20
 
 

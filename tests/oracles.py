@@ -171,3 +171,20 @@ def digit_planes(p: int, E: int, values) -> bytes:
                 byte = byte * p + d
             out.append(byte)
     return bytes(out)
+
+
+def sample_distance(samples, points, p: int, E: int) -> np.ndarray:
+    """d(x) = max over samples s of min_d v_p(x_d - s_d), capped at E, for each point x.
+
+    All pairs by brute force: for each point, the largest k <= E such that some
+    sample has every coordinate difference divisible by p**k, found by raising k
+    one step at a time over the whole sample array.  It shares nothing with the
+    trie's digit tables or the model.
+    """
+    samples = np.asarray(samples, dtype=np.int64)
+    out = np.zeros(len(points), dtype=np.int64)
+    for i, x in enumerate(np.asarray(points, dtype=np.int64)):
+        diff = x - samples
+        while out[i] < E and (diff % p ** (out[i] + 1) == 0).all(axis=1).any():
+            out[i] += 1
+    return out

@@ -13,6 +13,7 @@ from oracles import (
     digit_planes,
     mahler_coeffs_1d,
     raw_lzma2,
+    sample_distance,
     series_value,
     valuation,
     value_window,
@@ -325,12 +326,66 @@ def test_end_to_end_matches_oracle():
         assert est.predict_residue_grid(axes).reshape(-1).tolist() == grid
 
 
+def distance_cases(rng):
+    """(params, samples, points) over random configs, p past 256 and L < M included.
+
+    Half of each config's points are a sample plus a multiple of a random power of
+    p, so the sample distance d(x) takes every value up to E.
+    """
+    configs = []
+    for _ in range(150):
+        p = int(rng.choice([2, 3, 5, 7]))
+        top = 1
+        while p ** (top + 1) <= 5000:
+            top += 1
+        D, M = int(rng.integers(1, 4)), int(rng.integers(1, 30))
+        params = LearningParams(p, int(rng.integers(1, top + 1)), D, M, int(rng.integers(1, M + 1)))
+        configs.append((params, rng.integers(0, M, size=(int(rng.integers(1, 20)), D))))
+    for p, D, M, L in ((257, 1, 300, 280), (263, 2, 280, 270)):
+        configs.append((LearningParams(p, 2, D, M, L), rng.integers(0, M, size=(40, D))))
+    for params, samples in configs:
+        mod, D = params.modulus, params.D
+        pts = rng.integers(0, mod, size=(200, D))
+        step = params.p ** rng.integers(0, params.E + 1, size=(100, 1))
+        pts[:100] = (samples[rng.integers(0, len(samples), 100)] + step * pts[:100]) % mod
+        yield params, samples, pts
+
+
+@pytest.mark.parametrize("stock", [False, True], ids=["random", "stock"])
+def test_residue_valuation_is_the_sample_distance_below_kappa(request, stock):
+    # with kappa = floor(log_p L) and d(x) the all-pairs sample distance capped at
+    # E, v_p(F(x)) = d(x) where d(x) < kappa and v_p(F(x)) >= kappa elsewhere, a
+    # zero residue reading as E: the series is pinned at points far from the window
+    rng = np.random.default_rng(53)
+    if stock:
+        est = request.getfixturevalue("benchmark_estimate")
+        draw = np.random.default_rng(20260818).integers(0, 1024, size=(100_000, 3))  # c04's task 1
+        cases = [(est, generate_p_positions(3, 100), draw[rng.choice(len(draw), 3000, replace=False)])]
+    else:
+        cases = ((learn(SampleSet(*case[:2])), *case[1:]) for case in distance_cases(rng))
+    exact = 0
+    for est, samples, pts in cases:
+        p, E, L = est.params.p, est.params.E, est.params.L
+        kappa = 0
+        while p ** (kappa + 1) <= L:
+            kappa += 1
+        d = sample_distance(samples, pts, p, E)
+        F = est.predict_residue_batch(pts).astype(np.int64)
+        v = sum((F % p**k == 0).astype(np.int64) for k in range(1, E + 1))
+        below = d < kappa
+        assert np.array_equal(v[below], d[below]), est.params
+        assert (v[~below] >= kappa).all(), est.params
+        exact += int(below.sum())
+    assert exact > (2000 if stock else 5000)  # not vacuous: many points are pinned exactly
+
+
 @pytest.mark.parametrize("stock", [False, True], ids=["random", "stock"])
 def test_mulmod_premise(monkeypatch, stock):
     # every product has residue operands and a contracted extent within
     # MAX_AXIS_EXTENT: the premise of the 2**52 bound asserted in padic.py; the
-    # transforms of the fit, the save and the load multiply in float64, the
-    # evaluators in int64
+    # transforms of the fit, the save and the load, the grid rounds and the x0
+    # partials multiply 2-d float64 operands, and only the per-point rounds
+    # multiply stacked 3-d int64 ones
     rng = np.random.default_rng(37)
     configs = [(BENCHMARK_PARAMS, generate_p_positions(3, 100))] if stock else []
     for _ in range(0 if stock else 40):
@@ -347,7 +402,7 @@ def test_mulmod_premise(monkeypatch, stock):
         assert a.dtype == b.dtype
         for x in (a, b):
             assert 0 <= x.min() and x.max() < mod
-        calls.append(a.dtype.name)
+        calls.append((a.ndim, a.dtype.name))
         return real(a, b, mod)
 
     monkeypatch.setattr(mahler, "_mulmod", checked)
@@ -365,8 +420,10 @@ def test_mulmod_premise(monkeypatch, stock):
         buf.seek(0)
         assert np.array_equal(read_coefficient_rows(buf)[1], est.coeffs.data)
         assert 0 < fit_calls < batch_calls < grid_calls < save_calls < len(calls)
-        transforms = calls[:fit_calls] + calls[grid_calls:]
-        assert set(transforms) == {"float64"} and set(calls[fit_calls:grid_calls]) == {"int64"}
+        kernel = calls[:fit_calls] + calls[batch_calls:]  # transforms and grid rounds
+        assert set(kernel) == {(2, "float64")}
+        per_point = {(3, "int64")} if params.D > 1 else set()
+        assert set(calls[fit_calls:batch_calls]) == {(2, "float64")} | per_point
         calls.clear()
 
 

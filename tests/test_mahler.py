@@ -430,13 +430,19 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "E, L, sides, budget",
-        [(6, 8, (1, 64, 64, 64, 64), 1 << 19), (10, 32, (64, 64, 1), 1 << 14)],
-        ids=["one-long-last-round", "head-over-budget"],
+        [
+            (6, 8, (1, 64, 64, 64, 64), 1 << 19),
+            (10, 32, (64, 64, 1), 1 << 14),
+            (10, 16, (3, 200, 200), 1 << 12),
+        ],
+        ids=["one-long-last-round", "head-over-budget", "strided-output-slab"],
     )
     def test_grid_slabs_share_the_budget(self, monkeypatch, E, L, sides, budget):
         # the length-1 first axis leaves a 64**4-cell last round over a
         # 2**21-cell head, and the 64 x 64 head of the second case is 8x the
-        # budget: in one piece both would hold many budgets of int64 scratch
+        # budget: in one piece both would hold many budgets of int64 scratch.  The
+        # third slabs axis 1 behind a leading axis of 3, so a slab of the output
+        # is not contiguous and its last round is stored per leading index
         rng = np.random.default_rng(48)
         D, mod = len(sides), 2**E
         params = LearningParams(p=2, E=E, D=D, M=L)
