@@ -6,6 +6,20 @@ p**E, so samples land on zero.  The window's Mahler transform is the
 model: the inverse binomial matrix is lower-triangular, so no value
 outside the window reaches it.  The truncated series at a point estimates
 the defining function mod p**E; a zero residue is the membership verdict.
+
+The model reads the sample distance exactly below kappa = floor(log_p L).  With
+d(x) the largest min_d v_p(x_d - s_d) over samples s, capped at E, and a zero
+residue read as valuation E, every x in [0, p**E)**D has
+
+    v_p(F(x)) = d(x)  where d(x) < kappa,  and  v_p(F(x)) >= kappa  elsewhere.
+
+The fill is f = 1 + sum_{k=1..E} p**(k-1) * (p-1) * g_k, with g_k the indicator
+of x mod p**k in S mod p**k, so f(x) = p**d(x).  Each g_k is p**k-periodic on
+every axis and (T - 1)**(p**k) = T**(p**k) - 1 = 0 mod p, so its coefficient at l
+has valuation at least floor(l_d / p**k) on each axis d: a term cut at L has
+valuation at least k - 1 + p**(kappa-k) >= kappa for k <= kappa, and for k > kappa
+its weight p**(k-1) alone has.  So F(x) = p**d(x) mod p**kappa; the tier-1 test
+test_residue_valuation_is_the_sample_distance_below_kappa checks it.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ the query coordinates, made by BinomialTable.rows.  One kernel, _contract_axis,
 contracts an axis by exact float64 GEMMs: in place for the fit's, the save's and
 the load's transforms, whose matrices are lower-triangular, and out of place for
 the grid evaluator's rounds and the point evaluator's first-coordinate partials.
-Residues are summed mod p**E only in _mulmod, in int64 for the per-point rounds.
+Residues are summed mod p**E only in _mulmod, in int64 for the per-point rounds,
+and in the point evaluator's split along axis 0, which adds one product per term.
 """
 
 from __future__ import annotations
@@ -149,8 +150,10 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndar
     axes is a D-sequence of 1-d integer arrays; the result has shape (len(axes[0]),
     ..., len(axes[D-1])).  Round d contracts axis d with the rows C(x, l) of axes[d]
     by _contract_axis into params.residue_dtype; the rounds below a slab axis s,
-    which chunk_ranges picks, run once into a head, the rest per leading index of
-    the head and per slab along s, the last into the output.
+    which chunk_ranges picks, run into a head, the rest per leading index of the
+    head and per slab along s, the last into the output.  The head's rounds leave
+    the columns of its trailing ext**(D - s) block apart, so it is built a slab of
+    columns at a time, the contracted axis leading each round's array in memory.
     """
     params, ext, D, bound = coeffs.params, coeffs.extent, coeffs.params.D, table.shape[0]
     if len(axes) != D:
@@ -167,8 +170,7 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndar
         return out
     scratch = padic.CHUNK_CELLS // 2  # the kernel's; the plan has the rest
 
-    def contract(acc, d, x, dst=None):
-        src = acc.reshape(-1, ext, ext ** (D - 1 - d))
+    def contract(src, x, dst=None):
         dst = np.empty((len(src), len(x), src.shape[2]), out.dtype) if dst is None else dst
         rows = lambda i0, i1: _block_matrix(table, x[i0:i1], ext)
         _contract_axis(src, dst.reshape(len(src), len(x), -1), rows, scratch, params.modulus)
@@ -179,16 +181,27 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndar
     # per leading index carries its share of the later rounds
     cells = [0] + [ext ** (D - 1 - d) * math.prod(sides[: d + 1]) for d in range(D - 1)]
     share = [max(1, sum(cells[s + 1 :]) // math.prod(sides[: s + 1])) for s in range(D)]
-    s, slabs = padic.chunk_ranges([*zip([scratch + c for c in cells], sides, share)], "grid slab")
-    head = coeffs.data
-    for d in range(s):
-        head = contract(head, d, xs[d])
-    head = head.reshape(math.prod(sides[:s]), -1)
+    # per head column, round d < s - 1 holds its input and its output beside the head
+    mid = [[c // ext ** (D - s) for c in cells[1:s]] for s in range(D)]
+    build = [max(a + b for a, b in zip([0, *m], [*m, 0])) for m in mid]
+    held = [scratch + c for c in cells]
+    s, slabs = padic.chunk_ranges([*zip(held, sides, map(max, share, build))], "grid slab")
+    head = coeffs.data.reshape(1, -1)
+    if s:
+        head = np.empty((math.prod(sides[:s]), ext ** (D - s)), out.dtype)
+        step = (padic.CHUNK_CELLS - held[s]) // max(1, build[s])
+        for c0 in range(0, head.shape[1], step):
+            acc = coeffs.data.reshape(ext**s, -1)[:, c0 : c0 + step]
+            last = head.reshape(-1, sides[s - 1], head.shape[1])[:, :, c0 : c0 + step]
+            for d in range(s):
+                src = acc.reshape(ext, -1, acc.shape[-1]).transpose(1, 0, 2)
+                acc = contract(src, xs[d], last if d == s - 1 else None)
     out3 = out.reshape(len(head), sides[s], -1)  # each [p, lo:hi] is contiguous
     for lo, hi in slabs:
         for p, acc in enumerate(head):
             for d in range(s, D):
-                acc = contract(acc, d, xs[d][lo:hi] if d == s else xs[d],
+                acc = contract(acc.reshape(-1, ext, ext ** (D - 1 - d)),
+                               xs[d][lo:hi] if d == s else xs[d],
                                out3[p, lo:hi] if d == D - 1 else None)
     return out
 
@@ -199,23 +212,44 @@ def evaluate_at_points(coeffs: ResidueGrid, points, table: BinomialTable) -> np.
     Points are grouped by their first coordinate; each group shares one partial,
     _contract_axis on axis 0, so the per-point work drops from L**D to L**(D-1).
     Groups go in blocks and points in runs, in the half of CHUNK_CELLS that the
-    kernel leaves.  At D <= 2 a run spans its block's groups, each point with
-    its own partial row; at D >= 3 a run stays in one group and shares its partial.
+    kernel leaves.  At D <= 2 a run spans its block's groups, each point with its
+    own partial row; at D >= 3 a run stays in one group and shares its partial.
+    Where one group's partial and one point's run do not fit beside the kernel, at
+    D >= 3, the series is split along axis 0 as
+
+        F(x) = sum_l C(x_0, l) * F_l(x_1, ..., x_{D-1}),
+
+    whose series F_l, of coefficients coeffs[l], have partials ext times smaller.
     """
     pts = as_points(points, coeffs.params.D, bound=table.shape[0])
-    mod, ext, D = coeffs.params.modulus, coeffs.extent, coeffs.params.D
-    src = coeffs.data.reshape(1, ext, -1)
+    return _series_at(coeffs.data, pts, table, coeffs.params.modulus, coeffs.params.residue_dtype)
+
+
+def _series_at(data: np.ndarray, pts: np.ndarray, table: BinomialTable, mod: int, dtype):
+    """The series of the C-contiguous cube `data` at pts, in dtype, as evaluate_at_points."""
+    ext, D = data.shape[0], data.ndim
+    src = data.reshape(1, ext, -1)
+    scratch = padic.CHUNK_CELLS // 2  # the kernel's, as in evaluate_on_grid
+    # per point, a run holds two cells per row entry, an index and two successive
+    # partials; per group, a block holds one partial and ext cells, beside the
+    # kernel's half and a run of one point
+    per_point = 2 * ext + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
+    block = (padic.CHUNK_CELLS - scratch - per_point) // (ext + src.shape[2])
+    if block < 1 and D > 2:
+        acc = np.zeros(len(pts), np.int64)
+        for l in range(ext):
+            part = _series_at(data[l], pts[:, 1:], table, mod, np.int64)
+            part *= table.rows(pts[:, 0], l + 1, first=l)[:, 0]  # two residues, below 2**40
+            acc += part
+            padic.reduce_residues(acc, mod)
+        return acc.astype(dtype, copy=False)
     order = np.argsort(pts[:, 0], kind="stable")
     spts = pts[order]
     uniq, starts = np.unique(spts[:, 0], return_index=True)
     run_bounds = np.append(starts, spts.shape[0])
-    out = np.empty(pts.shape[0], dtype=coeffs.params.residue_dtype)
-    scratch = padic.CHUNK_CELLS // 2  # the kernel's, as in evaluate_on_grid
-    # per group, a block holds one partial and ext cells, one block at a time
-    block = max(1, (padic.CHUNK_CELLS - scratch) // (ext + src.shape[2]))
-    # per point, in what a block's partials leave of that half, a run holds two
-    # cells per row entry, an index and two successive partials
-    per_point = 2 * ext + 1 + ext ** max(1, D - 2) + ext ** max(0, D - 3)
+    out = np.empty(pts.shape[0], dtype=dtype)
+    block = max(1, block)  # at D <= 2 a partial holds at most MAX_AXIS_EXTENT cells
+    # a run takes what a block's partials leave of the other half
     run = max(1, (padic.CHUNK_CELLS - scratch - min(block, uniq.size) * src.shape[2]) // per_point)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]

@@ -28,11 +28,13 @@ MAX_TABLE_CELLS = 1 << 26
 # GEMMs of mahler._contract_axis (the transforms, the grid rounds and the point
 # partials) too, as every partial sum, in whatever order BLAS adds, is an integer
 # below 2**53.  A binomial table's row kernel multiplies three residues before it
-# reduces; its int32 arrays hold residues, factors t and v_p(t!) <= t for t below
-# MAX_MODULUS, beside a sentinel -2**30 that keeps V[x] - V[l] - V[-1] in int32.
+# reduces; its int32 U and Uinv hold residues and factors t below MAX_MODULUS.  Its
+# uint8 V holds v_p(t!) mod 256: for l <= x, V[x] - V[x - l] - V[l] is v_p(C(x, l)),
+# by Kummer the carries when l and x - l are added in base p, at most the number of
+# base-p digits of x < MAX_MODULUS, so the difference mod 256 is exact.
 assert MAX_AXIS_EXTENT * (MAX_MODULUS - 1) ** 2 < 2**52
 assert (MAX_MODULUS - 1) ** 3 < 2**63
-assert MAX_MODULUS + 2**30 < 2**31
+assert MAX_MODULUS < 2**31 and (MAX_MODULUS - 1).bit_length() < 2**8
 # learner._digit_slabs forms body positions, integers below L**D <= MAX_GRID_CELLS,
 # in float64, which is exact for every integer below 2**53.
 assert MAX_GRID_CELLS < 2**53
@@ -199,11 +201,12 @@ class BinomialTable:
 
         C(x, l) = U[x] * Uinv[x - l] * Uinv[l] * p**(V[x] - V[x - l] - V[l])  (mod p**E),
 
-    which is 0 once the exponent reaches E.  The three int32 arrays run over
-    t = -1, ..., nmax at index t + 1.  The t = -1 entry has V = -2**30, so an
-    entry with l > x, whose x - l clips to it, has an exponent past E and is 0
-    with no mask.  shape[1] = kmax + 1 describes only the dense form; rows reads
-    any column.
+    which is 0 once the exponent reaches E.  U and Uinv are int32 and V is uint8,
+    v_p(t!) mod 256: the exponent, a carry count of at most 20, is exact mod 256.
+    All three run over t = -1, ..., nmax at index t + 1, 9 bytes a row.  The t = -1
+    entry has Uinv = 0, so an entry with l > x, whose x - l clips to it, is 0 with
+    no mask.  shape[1] = kmax + 1 describes only the dense form; rows reads any
+    column.
     """
 
     p: int
@@ -213,28 +216,30 @@ class BinomialTable:
     Uinv: np.ndarray
     V: np.ndarray
 
-    def rows(self, x: np.ndarray, ext: int) -> np.ndarray:
-        """C(x_i, l) mod p**E for l < ext, as a C-ordered (len(x), ext) int64 array.
+    def rows(self, x: np.ndarray, ext: int, first: int = 0) -> np.ndarray:
+        """C(x_i, l) mod p**E for first <= l < ext, as a C-ordered int64 array.
 
-        x is a 1-d int64 array in [0, nmax].  Beside the rows it returns, the
-        kernel holds two int32 arrays of their shape, so it peaks at two int64
-        cells per entry.
+        The array has shape (len(x), ext - first); x is a 1-d int64 array in
+        [0, nmax].  Beside the rows it returns, the kernel holds one scratch block
+        of their size, so it peaks at two int64 cells per entry.
         """
         mod, U, Uinv, V = self.p**self.E, self.U, self.Uinv, self.V
-        l = np.arange(ext)
+        l = np.arange(first, ext)
         at_x, at_l = x + 1, l + 1  # index t + 1 of t = x and t = l
         out = np.subtract.outer(at_x, l)  # index of x - l, at most 0 where l > x
-        power = V.take(out, mode="clip")
+        # one scratch block of out's size, which a caller's next product of out's shape
+        # reuses: the exponents in its first eighth, the units in its second half
+        block = np.empty(out.nbytes, np.uint8)
+        power = block[: out.size].reshape(out.shape)  # uint8: the exponent wraps mod 256
+        units = block[out.nbytes // 2 :].view(np.int32).reshape(out.shape)
+        V.take(out, out=power, mode="clip")
         np.subtract(V[at_x][:, None], power, out=power)
         power -= V.take(at_l, mode="clip")  # l > nmax only where l > x: clipping is safe
-        np.minimum(power, self.E, out=power)
-        units = Uinv.take(out, mode="clip")
+        Uinv.take(out, out=units, mode="clip")  # 0 where l > x
         np.copyto(out, power)  # the index is spent: the exponent indexes p**e, p**E to vanish
-        np.take(self.p ** np.arange(self.E + 1, dtype=np.int32), out, out=power, mode="clip")
-        np.copyto(out, units)
-        del units
-        out *= power
-        del power
+        np.take(self.p ** np.arange(self.E + 1), out, out=out, mode="clip")  # in place
+        out *= units
+        del block, power, units
         out *= U[at_x][:, None]  # a product of three residues, below 2**60
         reduce_residues(out, mod)
         out *= Uinv.take(at_l, mode="clip")
@@ -259,11 +264,12 @@ def reduce_residues(arr: np.ndarray, mod: int):
 def binomial_table(p: int, E: int, nmax: int, kmax: int) -> BinomialTable:
     """The table t[n, k] = C(n, k) mod p**E for all n <= nmax and every k.
 
-    It holds three arrays of nmax + 2 int32 entries; kmax only sets the dense
-    form that shape names, and BinomialTable.rows is exact for every column.
-    U is a prefix product of the factors t with their p's divided out, V a
-    prefix sum of the p's, and Uinv a suffix product of the same factors from
-    the one modular inverse of U[nmax].
+    It holds two arrays of nmax + 2 int32 entries and one of uint8, 9 bytes a row:
+    9 MiB at MAX_MODULUS rows.  kmax only sets the dense form that shape names, and
+    BinomialTable.rows is exact for every column.  U is a prefix product of the
+    factors t with their p's divided out, V a prefix sum of the p's in uint8,
+    so mod 256, and Uinv a suffix product of the same factors from the one
+    modular inverse of U[nmax].
     """
     _check_modulus(p, E)
     if nmax < 0 or kmax < 0:
@@ -274,17 +280,17 @@ def binomial_table(p: int, E: int, nmax: int, kmax: int) -> BinomialTable:
     size = (math.isqrt(n - 1) + 1) ** 2  # square for _prefix_products; the pad stays 1
     U = np.ones(size, dtype=np.int32)
     U[2:n] = np.arange(1, n - 1, dtype=np.int32)  # factor t at index t + 1; t <= 0 stay 1
-    V = np.zeros(size, dtype=np.int32)
+    V = np.zeros(size, dtype=np.uint8)
     q = p
     while q <= nmax:  # divide each factor t by p once per power of p dividing it
         U[q + 1 : n : q] //= p
         V[q + 1 : n : q] += 1
         q *= p
-    np.cumsum(V, out=V)
-    V[0] = -(2**30)  # t = -1: V[x] - V[l] - V[0] is then far past E
+    np.add.accumulate(V, out=V)  # in uint8, mod 256
     Uinv = np.ones(size, dtype=np.int32)
     Uinv[1 : n - 1] = U[2:n]  # the factor of t + 1 at index t + 1, for the suffix
     _prefix_products(U, mod)
     Uinv[n - 1] = pow(int(U[n - 1]), -1, mod)
     _prefix_products(Uinv[::-1], mod)
+    Uinv[0] = 0  # t = -1: every entry with l > x reads it and vanishes
     return BinomialTable(p, E, (nmax + 1, kmax + 1), U[:n], Uinv[:n], V[:n])

@@ -465,6 +465,56 @@ class TestEvaluate:
         assert peak < got.nbytes + 1.5 * 8 * budget
         assert got.dtype == params.residue_dtype
 
+    @pytest.mark.parametrize("E", [4, 10])
+    def test_grid_head_rounds_share_the_budget(self, monkeypatch, E):
+        # a one-point grid at L = 2 slabs a late axis: at D = 12 and 2**8 cells, built
+        # whole, its head rounds held 4 budgets.  At D = 16 and 2**12 cells, where
+        # arrays rather than the interpreter fill the trace, they held 2-4 budgets; the
+        # head is now built a slab of its columns at a time
+        rng = np.random.default_rng(49)
+        D, mod = 16, 2**E
+        params = LearningParams(p=2, E=E, D=D, M=2)
+        coeffs = ResidueGrid(params, rng.integers(0, mod, (2,) * D))
+        table = binomial_table(2, E, mod - 1, 1)
+        axes = [rng.integers(0, mod, size=1) for _ in range(D)]
+        want = evaluate_on_grid(coeffs, axes, table)
+        assert want.item() == series_value(coeffs.data, [a[0] for a in axes], mod)
+        budget = 1 << 12
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            got = evaluate_on_grid(coeffs, axes, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < got.nbytes + 1.5 * 8 * budget
+
+    def test_partial_over_budget_splits_axis_zero(self, monkeypatch):
+        # at L = 2 and D = 16 one group's partial is 2**15 cells, 8x a 2**12-cell
+        # budget, as 2**23 cells are of CHUNK_CELLS at D = 24: the series splits along
+        # axis 0 until a partial and a run fit, and keeps its residues.  Unsplit, these
+        # points traced 14 budgets
+        rng = np.random.default_rng(50)
+        D = 16
+        params = LearningParams(p=2, E=10, D=D, M=2)
+        coeffs = ResidueGrid(params, rng.integers(0, 1024, (2,) * D))
+        table = binomial_table(2, 10, 1023, 1)
+        pts = rng.integers(0, 1024, size=(16, D))
+        pts[:8, 0] = 3
+        want = evaluate_at_points(coeffs, pts, table)
+        assert want[0] == series_value(coeffs.data, pts[0], 1024)
+        budget = 1 << 12
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
+        tracemalloc.start()
+        try:
+            got = evaluate_at_points(coeffs, pts, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == want.tolist()
+        assert peak < 1.5 * 8 * budget
+
 
 # a well-formed header for p=2 E=3 D=2 M=2 L=2 with a placeholder digest
 DUMMY_HEAD = b"2 3 2 2 2 " + b"0" * 32 + b"\n"

@@ -205,29 +205,32 @@ class TestBinomialTable:
         t = binomial_table(3, 12, 3**12 - 1, 3)
         assert np.array_equal(dense(t), pascal_table(3**12, 3**12 - 1, 3))
 
-    def test_compact_int32_storage(self):
+    def test_compact_storage(self):
         t = binomial_table(2, 4, 8, 4)
         assert t.shape == (9, 5)
-        # U, Uinv and V of t = -1, ..., 8, at index t + 1
-        for arr in (t.U, t.Uinv, t.V):
-            assert arr.dtype == np.int32 and arr.shape == (10,)
+        # U and Uinv in int32 and V in uint8, of t = -1, ..., 8 at index t + 1
+        assert t.U.dtype == t.Uinv.dtype == np.int32 and t.V.dtype == np.uint8
+        assert t.U.shape == t.Uinv.shape == t.V.shape == (10,)
         # 8! = 2**7 * 315 and 315 = 11 mod 16
         assert t.U.tolist() == [1, 1, 1, 1, 3, 3, 15, 13, 11, 11]
-        assert t.V.tolist() == [-(2**30), 0, 0, 1, 1, 3, 3, 4, 4, 7]
+        assert t.V.tolist() == [0, 0, 0, 1, 1, 3, 3, 4, 4, 7]
+        # t = -1 has Uinv = 0: every entry with l > x reads it and vanishes
+        assert t.Uinv[0] == 0
         assert (t.U[1:] * t.Uinv[1:] % 16).tolist() == [1] * 9
         assert np.array_equal(dense(t), pascal_table(16, 8, 4))
 
     def test_build_peaks_near_table_size(self):
-        tracemalloc.start()
-        try:
-            t = binomial_table(2, 16, 2**16 - 1, 15)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # three int32 entries per row, whatever kmax; 8-byte entries fail
-        size = t.U.nbytes + t.Uinv.nbytes + t.V.nbytes
-        assert size == 12 * (2**16 + 1)
-        assert peak < 1.25 * size
+        for E in (16, 20):
+            tracemalloc.start()
+            try:
+                t = binomial_table(2, E, 2**E - 1, 15)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # two int32 entries and one uint8 per row, whatever kmax; wider entries fail
+            size = t.U.nbytes + t.Uinv.nbytes + t.V.nbytes
+            assert size == 9 * (2**E + 1)
+            assert peak < 1.25 * size
 
 
 class TestRowKernel:
@@ -254,8 +257,30 @@ class TestRowKernel:
         assert got.dtype == np.int64 and got.flags.c_contiguous
         assert np.array_equal(got, comb_rows(xs, 64, mod))
 
+    @pytest.mark.parametrize(
+        "p, E, nmax, xs, L",
+        [
+            # x = 2**19 and an odd l carry 19 times in base 2
+            (2, 2, 2**20 - 1, [2**19, 2**19 + 1, 3 * 2**18, 0xAAAAA, 2**20 - 2, 2**20 - 1], 64),
+            (257, 2, 257**2 - 1, [257, 257 * 256, 257 * 129 + 128, 257**2 - 2, 257**2 - 1], 300),
+            (65521, 1, 65520, [65519, 65520], 40),
+        ],
+    )
+    def test_largest_carry_counts(self, p, E, nmax, xs, L):
+        # V holds v_p(t!) mod 256; the exponent V[x] - V[x - l] - V[l], a carry count
+        # of at most 20, is exact, however far V has wrapped
+        t = binomial_table(p, E, nmax, L - 1)
+        legendre = sum(nmax // p**i for i in range(1, 21))
+        assert t.V[-1] == legendre % 256
+        xs = np.array([0, 1, 5, *xs])  # the first three also have columns l > x
+        got = t.rows(xs, L)
+        assert np.array_equal(got, comb_rows(xs, L, p**E))
+        assert all(not got[i, x + 1 :].any() for i, x in enumerate(xs[:3]))
+        # a slice of columns is the same slice of the rows
+        assert np.array_equal(t.rows(xs, L, first=L // 2), got[:, L // 2 :])
+
     def test_rows_below_their_columns_vanish(self):
-        # x < l reads the t = -1 entry, whose V of -2**30 puts p**E in the product
+        # x < l reads the t = -1 entry, whose Uinv of 0 zeroes the product
         xs = np.array([0, 1, 5, 9])
         got = binomial_table(3, 3, 9, 11).rows(xs, 12)
         assert np.array_equal(got, comb_rows(xs, 12, 27))
