@@ -10,13 +10,7 @@ outside the sampled window.
 
 import numpy as np
 
-from padiclearn import (
-    LearningParams,
-    ResidueGrid,
-    binomial_table,
-    evaluate_on_grid,
-    mahler_transform,
-)
+from padiclearn import DefiningFunctionEstimate, LearningParams, ResidueGrid, mahler_transform
 
 p, E = 2, 10
 mod = p**E
@@ -29,11 +23,12 @@ print(f"values       {grid.data}")
 print(f"coefficients {coeffs.data}")
 
 # x^2 = 0*C(x,0) + 1*C(x,1) + 2*C(x,2), so the series is exact
-# everywhere, not just on the sampled window.  evaluate_on_grid takes
-# one array of query coordinates per axis.
-table = binomial_table(p, E, nmax=mod - 1, kmax=3)
+# everywhere, not just on the sampled window.  A model wraps the
+# coefficients and evaluates their series over a product grid, one
+# array of query coordinates per axis.
+series = DefiningFunctionEstimate(params, coeffs)
 far = np.array([5, 10, 31])
-for x, got in zip(far, evaluate_on_grid(coeffs, [far], table)):
+for x, got in zip(far, series.predict_residue_grid([far])):
     print(f"series at {x}: {got}   (x^2 mod {mod} = {x * x % mod})")
 
 # Two dimensions: the transform runs axis by axis, so a product
@@ -47,7 +42,7 @@ print(f"xy coefficient tensor:\n{coeffs2.data}")
 
 # Round trip: evaluating on the original grid gives back the table.
 axes = [np.arange(4), np.arange(4)]
-back = evaluate_on_grid(coeffs2, axes, table)
+back = DefiningFunctionEstimate(params2, coeffs2).predict_residue_grid(axes)
 assert np.array_equal(back, table_xy.data)
 print("round trip on the 4x4 grid is exact")
 
@@ -56,6 +51,6 @@ print("round trip on the 4x4 grid is exact")
 # training samples.
 rng = np.random.default_rng(0)
 noise = ResidueGrid(params2, rng.integers(0, mod, size=(4, 4)))
-back = evaluate_on_grid(mahler_transform(noise), axes, table)
+back = DefiningFunctionEstimate(params2, mahler_transform(noise)).predict_residue_grid(axes)
 assert np.array_equal(back, noise.data)
 print("random 4x4 table round trips as well")

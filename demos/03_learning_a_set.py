@@ -11,13 +11,32 @@ import numpy as np
 
 from padiclearn import LearningParams, SampleSet, build_value_grid, learn
 
+
+# times p divides x, capped at cap (so x == 0 maps to cap)
+def valuation(x, p, cap):
+    v = 0
+    while v < cap and x % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+# Step one tabulates f(x) = 2^d(x) over the window [0, M)^D, where d(x),
+# capped at E, is the largest d with x = s mod 2^d on every axis for
+# some sample s: the 2-adic distance to the nearest sample is 2^-d(x).
+# A sample has d = E and 2^E = 0 mod 2^E, so f vanishes exactly there.
+params = LearningParams(p=2, E=3, D=2, M=8)
+stored = [(0, 0), (4, 4), (3, 5)]
+grid = build_value_grid(SampleSet(params, np.array(stored)))
+for query in [(0, 0), (1, 0), (2, 2), (4, 4), (7, 1)]:
+    d = valuation(int(grid.data[query]), 2, 3)
+    # brute force: the best sample's worst coordinate
+    assert d == max(min(valuation(q - s, 2, 3) for q, s in zip(query, row)) for row in stored)
+    print(f"query {query}: f = {grid.data[query]}, a sample agrees mod 2^{d}")
+
 # Target set: multiples of 4 on the line, observed through the four
 # samples inside the window [0, 16).
 params = LearningParams(p=2, E=6, D=1, M=16)
 samples = SampleSet(params, np.array([[0], [4], [8], [12]]))
-
-# Step one tabulates f(x) = 2^(distance to nearest sample) over the
-# window, with f = 0 exactly at the samples.
 grid = build_value_grid(samples)
 print(f"value grid over [0, 16): {grid.data}")
 

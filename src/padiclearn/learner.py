@@ -39,7 +39,7 @@ from .mahler import (
     mahler_transform,
     transform_window,
 )
-from .padic import BinomialTable, LearningParams, as_coordinates, as_points, binomial_table
+from .padic import BinomialTable, LearningParams, as_points, binomial_table
 from .trie import PadicTrie
 
 
@@ -287,19 +287,15 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     five header fields and the row-major coefficient window, so it depends on
     neither the layout nor the liblzma build.  Planes are packed piece by piece
     into one compressor, so the save holds no plane buffer.  Raises ValueError,
-    before writing anything, for a window that is not integral, whose shape is
-    not (L,) * D, or with a value outside [0, p**E), which no plane holds.
+    before writing anything, for a window ResidueGrid refuses or whose extent is not L.
     """
-    p, E, mod = params.p, params.E, params.modulus
-    window = as_coordinates(window)
-    shape = (params.L,) * params.D
-    if window.shape != shape:
-        raise ValueError(f"window must have shape {shape}, got {window.shape}")
-    if window.min() < 0 or window.max() >= mod:
-        raise ValueError(f"window entries must lie in [0, {mod})")
+    p, E = params.p, params.E
+    grid = ResidueGrid(params, window)
+    if grid.extent != params.L:
+        raise ValueError(f"window must have extent L = {params.L}, got {grid.extent}")
     fields = f"{p} {E} {params.D} {params.M} {params.L}".encode()
-    values = np.array(window, params.residue_dtype)
-    del window  # as_coordinates' int64 copy, where it made one
+    values = np.array(grid.data, params.residue_dtype)
+    del grid, window  # ResidueGrid's int64 copy, where it made one
     fh.write(fields + b" " + _digest(fields, values.reshape(-1).view(np.uint8)) + b"\n")
     transform_window(values, params, inverse=False)
     cells = values.reshape(-1)

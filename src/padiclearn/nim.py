@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import padic
 from .learner import DefiningFunctionEstimate
 from .padic import MAX_GRID_CELLS, LearningParams, as_coordinates, chunk_ranges
 
@@ -46,7 +47,7 @@ def generate_p_positions(D: int, bounds) -> np.ndarray:
     integer (a cube) or a length-D sequence.  A free box of more than
     MAX_GRID_CELLS points raises ValueError.
     """
-    if D < 1:
+    if padic._check_natural("D", D) < 1:
         raise ValueError(f"D must be at least 1, got {D}")
     arr = as_coordinates(bounds)
     arr = np.full(D, arr) if arr.ndim == 0 else arr
@@ -72,10 +73,11 @@ def sample_p_positions(rng: np.random.Generator, D: int, bound: int, size: int) 
     of two so the forced coordinate stays inside the box, which also makes
     the draw exactly uniform over the zero-XOR set.
     """
-    if D < 1:
+    if padic._check_natural("D", D) < 1:
         raise ValueError(f"D must be at least 1, got {D}")
-    if bound < 1 or bound & (bound - 1):
+    if padic._check_natural("bound", bound) < 1 or bound & (bound - 1):
         raise ValueError(f"bound must be a positive power of two, got {bound}")
+    size = padic._check_natural("size", size)
     return _xor_close(rng.integers(0, bound, size=(size, D - 1), dtype=np.int64))
 
 
@@ -187,8 +189,9 @@ def run_task(
         raise ValueError(f"mode must be 'exhaustive' or 'subsample', got {mode!r}")
     if mode == "subsample" and task != 2:
         raise ValueError("subsample mode is defined for task 2 only")
-    if task in (1, 3) and (trials is None or trials < 1):
+    if task in (1, 3) and (trials is None or padic._check_natural("trials", trials) < 1):
         raise ValueError(f"task {task} needs a positive trial count")
+    seed = padic._check_natural("seed", seed)
     rep_mode = "random" if task in (1, 3) else mode
     bound = P.modulus
     t0 = time.perf_counter()
@@ -209,7 +212,7 @@ def run_task(
         else:
             if P.D < 3:
                 raise ValueError("subsample mode needs D >= 3: one stratified axis plus random axes")
-            if sample_size < 1:
+            if padic._check_natural("sample_size", sample_size) < 1:
                 raise ValueError(f"sample_size must be positive, got {sample_size}")
             rng = np.random.default_rng(seed)
             x1 = np.repeat(np.arange(bound, dtype=np.int64), -(-sample_size // bound))

@@ -800,6 +800,8 @@ class TestPersistence:
             (65521, 1, 2, 6, 72),
             (2, 1, 2, 9, 11),  # 81 cells, 8 to a byte, the last byte 1 cell and 7 pad bits
             (3, 4, 1, 30, 24),  # D = 1: 4 planes of 6 bytes
+            (5, 3, 2, 30, 900),  # 3 base-5 digits a byte: 3 planes of 300
+            (17, 2, 2, 20, 800),  # 1 digit a byte, p below 256: 2 planes of 400
         ],
     )
     def test_edge_layout_round_trip(self, p, E, D, M, plane_bytes):
@@ -972,15 +974,17 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "window, message",
         [
-            (np.zeros((4, 16), np.int64), r"shape \(8, 8\), got \(4, 16\)"),
-            (np.zeros(64, np.int64), r"shape \(8, 8\), got \(64,\)"),
+            (np.zeros((4, 16), np.int64), r"grid must be a cube, got shape \(4, 16\)"),
+            (np.zeros(64, np.int64), "grid has 1 axes, expected D = 2"),
             (np.full((8, 8), 1.5), "integer values, got dtype float64"),
             (np.ones((8, 8), bool), "integer values, got dtype bool"),
+            (np.zeros((16, 16), np.int64), "window must have extent L = 8, got 16"),
         ],
-        ids=["wrong-shape", "flat", "float", "bool"],
+        ids=["wrong-shape", "flat", "float", "bool", "extent-M"],
     )
     def test_malformed_window_rejected_before_the_header(self, window, message):
-        # the same 64 cells in another shape, or not integers, are refused, not coerced
+        # the same 64 cells in another shape, or not integers, are refused, not coerced;
+        # so is the whole M-sided cube where the model keeps its L-sided window
         params = LearningParams(p=2, E=4, D=2, M=16, L=8)
         buf = io.BytesIO()
         with pytest.raises(ValueError, match=message):

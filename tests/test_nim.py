@@ -84,6 +84,14 @@ class TestGeneratePPositions:
         with pytest.raises(ValueError, match="expected integer values"):
             generate_p_positions(2, bounds)
 
+    @pytest.mark.parametrize("D", [True, 2.0, 2.5])
+    def test_non_integer_dimension_rejected(self, D):
+        with pytest.raises(ValueError, match="D must be an integer"):
+            generate_p_positions(D, 4)
+
+    def test_numpy_integer_dimension(self):
+        assert np.array_equal(generate_p_positions(np.int64(3), 8), generate_p_positions(3, 8))
+
     def test_free_box_capped(self, monkeypatch):
         # the free box is every axis but the last: 10 * 10 fits a cap of 100, 10 * 11 does not
         monkeypatch.setattr(nim, "MAX_GRID_CELLS", 100)
@@ -123,6 +131,21 @@ class TestSamplePPositions:
     def test_dimension_must_be_positive(self):
         with pytest.raises(ValueError, match="D must be at least 1, got 0"):
             sample_p_positions(np.random.default_rng(44), 0, 8, 10)
+
+    @pytest.mark.parametrize(
+        "D, bound, size, name",
+        [(True, 8, 10, "D"), (2, True, 3, "bound"), (2, 8.0, 3, "bound"), (2, 8, 2.5, "size")],
+        ids=["bool-D", "bool-bound", "float-bound", "float-size"],
+    )
+    def test_non_integer_counts_rejected(self, D, bound, size, name):
+        # True is 1, a power of two, to a range check: it would draw zeros, not raise
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sample_p_positions(np.random.default_rng(45), D, bound, size)
+
+    def test_numpy_integer_counts(self):
+        got = sample_p_positions(np.random.default_rng(46), np.int64(3), np.int64(8), np.int64(5))
+        want = sample_p_positions(np.random.default_rng(46), 3, 8, 5)
+        assert np.array_equal(got, want)
 
 
 class TestRunTask(object):
@@ -288,6 +311,31 @@ class TestRunTask(object):
             run_task(small_estimate, 1, trials=10, mode="subsample")
         with pytest.raises(ValueError):
             run_task(small_estimate, 2, mode="nope")
+
+    @pytest.mark.parametrize(
+        "task, kwargs, name",
+        [
+            (1, dict(trials=10, seed=True), "seed"),
+            (1, dict(trials=10, seed=1.0), "seed"),
+            (1, dict(trials=True, seed=1), "trials"),
+            (3, dict(trials=10.0, seed=1), "trials"),
+            (2, dict(mode="subsample", seed=1, sample_size=2.5), "sample_size"),
+            (2, dict(mode="subsample", seed=1, sample_size=True), "sample_size"),
+        ],
+        ids=["bool-seed", "float-seed", "bool-trials", "float-trials", "float-size", "bool-size"],
+    )
+    def test_non_integer_counts_rejected(self, small_estimate, task, kwargs, name):
+        # refused, not coerced: seed True would print `seed True` in the canonical report
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_task(small_estimate, task, **kwargs)
+
+    def test_numpy_integer_counts(self, small_estimate):
+        for task, kwargs in [(1, dict(trials=20)), (2, dict(mode="subsample", sample_size=100))]:
+            want = run_task(small_estimate, task, seed=7, **kwargs)
+            numpy_kwargs = {k: np.int64(v) if k != "mode" else v for k, v in kwargs.items()}
+            got = run_task(small_estimate, task, seed=np.int64(7), **numpy_kwargs)
+            assert got.seed == 7 and type(got.seed) is int
+            assert got.to_text() == want.to_text()
 
     def test_subsample_input_checks(self, small_estimate):
         with pytest.raises(ValueError, match="sample_size must be positive, got 0"):
