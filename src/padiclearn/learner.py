@@ -99,10 +99,11 @@ def learn(samples: SampleSet) -> "DefiningFunctionEstimate":
 class DefiningFunctionEstimate:
     """Trained model: the L**D coefficient window plus the table that evaluates it.
 
-    Predictions are defined on [0, p**E)**D only; the series is a residue
-    mod p**E and coordinates are read at precision E.  A table passed in
-    must be mod the same p**E and cover n < p**E, or ValueError; its rows
-    are exact for every k.
+    Predictions are defined on exactly [0, p**E)**D; the series is a residue
+    mod p**E and coordinates are read at precision E.  The parts must agree with
+    params, or ValueError: coeffs has the same params and extent L, and a table
+    passed in is mod the same p**E with exactly p**E rows; its rows are exact
+    for every k.
     """
 
     params: LearningParams
@@ -111,10 +112,13 @@ class DefiningFunctionEstimate:
     table: BinomialTable | None = None
 
     def __post_init__(self):
-        P, T = self.params, self.table
+        P, T, C = self.params, self.table, self.coeffs
+        if C.params != P or C.extent != P.L:
+            raise ValueError(f"coeffs must be a window of extent L = {P.L} under {P},"
+                             f" got extent {C.extent} under {C.params}")
         if T is None:
             object.__setattr__(self, "table", binomial_table(P.p, P.E, P.modulus - 1, P.L - 1))
-        elif (T.p, T.E) != (P.p, P.E) or T.shape[0] < P.modulus:
+        elif (T.p, T.E) != (P.p, P.E) or T.shape[0] != P.modulus:
             raise ValueError(
                 f"table is mod {T.p}**{T.E} for n < {T.shape[0]};"
                 f" the model needs mod {P.p}**{P.E} for n < {P.modulus}"
@@ -194,16 +198,21 @@ def _lzma2(dtype: np.dtype, size: int) -> dict:
     )
 
 
-def _digit_groups(p: int) -> tuple[int, np.dtype]:
-    """(k, dtype): a digit plane packs k base-p digits, high first, into each dtype value.
+def _digit_groups(params: LearningParams) -> tuple[int, np.dtype, np.ndarray, int, int]:
+    """(k, dtype, place, groups, size): the one layout of the model file's digit planes.
 
-    k is the most digits with p**k <= 256, or 1 for a prime past 256, and dtype
-    the smallest little-endian unsigned type that holds p**k - 1.
+    A plane packs k base-p digits into each dtype group, digits @ place with place =
+    (p**(k-1), ..., p**0), so high digit first.  k is the most digits with p**k <= 256,
+    or 1 for a prime past 256, and dtype the smallest little-endian unsigned type that
+    holds p**k - 1.  A plane is groups = ceil(L**D / k) groups, whose last one's low
+    groups * k - L**D digits pad it with zeros, and the E planes are size bytes.
     """
-    k = 1
+    p, k = params.p, 1
     while p ** (k + 1) <= 256:
         k += 1
-    return k, np.min_scalar_type(p**k - 1).newbyteorder("<")
+    dtype, groups = np.min_scalar_type(p**k - 1).newbyteorder("<"), -(-params.L**params.D // k)
+    place = p ** np.arange(k - 1, -1, -1, dtype=dtype)  # in dtype: digits @ place stays narrow
+    return k, dtype, place, groups, params.E * groups * dtype.itemsize
 
 
 def _stream_bound(size: int) -> int:
@@ -280,14 +289,14 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     [0, L)**D, which for a learned model are the p**v of the fill: a copy of the
     window in the residue dtype is transformed by C(i, j) in place, by
     mahler.transform_window.  The stream holds E base-p digit planes of those
-    values, the high digit's first.  Each plane holds that digit of every cell in
-    the digit order of _digit_slabs, packed k to a group as _digit_groups says,
-    the last group zero-padded, and the filter of _lzma2 compresses them; the
-    header's fields determine all three.  The digest is a hex blake2b over the
-    five header fields and the row-major coefficient window, so it depends on
-    neither the layout nor the liblzma build.  Planes are packed piece by piece
-    into one compressor, so the save holds no plane buffer.  Raises ValueError,
-    before writing anything, for a window ResidueGrid refuses or whose extent is not L.
+    values, the high digit's first: each holds that digit of every cell in the
+    digit order of _digit_slabs, in the padded groups of _digit_groups, and the
+    filter of _lzma2 compresses them; the header's fields determine all three.
+    The digest is a hex blake2b over the five header fields and the row-major
+    coefficient window, so it depends on neither the layout nor the liblzma
+    build.  Planes are packed piece by piece into one compressor, so the save
+    holds no plane buffer.  Raises ValueError, before writing anything, for a
+    window ResidueGrid refuses or whose extent is not L.
     """
     p, E = params.p, params.E
     grid = ResidueGrid(params, window)
@@ -298,24 +307,17 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     del grid, window  # ResidueGrid's int64 copy, where it made one
     fh.write(fields + b" " + _digest(fields, values.reshape(-1).view(np.uint8)) + b"\n")
     transform_window(values, params, inverse=False)
-    cells = values.reshape(-1)
-    k, dtype = _digit_groups(p)
-    groups = -(-cells.size // k)
-    body = np.zeros(groups * k, cells.dtype)
+    k, dtype, place, groups, size = _digit_groups(params)
+    body = np.zeros((groups, k), values.dtype)
     for lo, hi, pos in _digit_slabs(params):
-        body[pos] = cells[lo:hi]
-    del values, cells
-    body = body.reshape(groups, k)
-    filters = [_lzma2(dtype, E * groups * dtype.itemsize)]
-    encoder = lzma.LZMACompressor(lzma.FORMAT_RAW, filters=filters)
+        body.reshape(-1)[pos] = values.reshape(-1)[lo:hi]
+    del values
+    encoder = lzma.LZMACompressor(lzma.FORMAT_RAW, filters=[_lzma2(dtype, size)])
     step = _PIECE // 8
     for j in reversed(range(E)):
         for lo in range(0, groups, step):
             digits = body[lo : lo + step] // p**j % p
-            packed = digits[:, 0]
-            for i in range(1, k):
-                packed = packed * p + digits[:, i]
-            fh.write(encoder.compress(packed.astype(dtype)))
+            fh.write(encoder.compress((digits @ place).astype(dtype)))
     fh.write(encoder.flush())
 
 
@@ -328,20 +330,20 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     planes, the decoder's dictionary and a few pieces.  The stream and decoder
     go first; then the planes are folded, high digit first, into a digit-ordered
     body of residues, _PIECE // 8 groups at a time, through a table of each
-    group's digits where k > 1, and go too; then the body is put back in
-    row-major order, slab by slab of _digit_slabs into a new window of the
-    series' values, and goes too.  Last, mahler.transform_window takes the
-    values back to coefficients in place by (-1)**(i - j) * C(i, j), its
-    scratch sized from the window as there, so past its floor within the bytes
-    the freed body held, and the digest is checked.  The load peaks at the body beside the larger of the
-    planes and the window, once both outgrow the 8 MiB dictionary.  Raises
-    ValueError, in this order, for a body that is not a valid LZMA2 stream,
-    planes of the wrong size, a truncated or overlong stream, bytes after the
-    stream, a group that is not k base-p digits or a nonzero digit past the
-    last cell, both naming the plane, and a digest mismatch.  The reader knows
-    this one layout: a model saved in an earlier one fails a body check, and
-    each body check's error ends with one hint, to learn it again from its
-    samples.
+    group's digits by the place values of _digit_groups where k > 1, and go
+    too; then the body is put back in row-major order, slab by slab of
+    _digit_slabs into a new window of the series' values, and goes too.  Last,
+    mahler.transform_window takes the values back to coefficients in place by
+    (-1)**(i - j) * C(i, j), its scratch sized from the window as there, so past
+    its floor within the bytes the freed body held, and the digest is checked.
+    The load peaks at the body beside the larger of the planes and the window,
+    once both outgrow the 8 MiB dictionary.  Raises ValueError, in this order,
+    for a body that is not a valid LZMA2 stream, planes of the wrong size, a
+    truncated or overlong stream, bytes after the stream, a group that is not k
+    base-p digits or a nonzero padding digit past the last cell, both naming the
+    plane, and a digest mismatch.  The reader knows this one layout: a model
+    saved in an earlier one fails a body check, and each body check's error ends
+    with one hint, to learn it again from its samples.
     """
     line = fh.readline(128)  # far longer than any header the caps admit
     head = line.split()
@@ -352,16 +354,13 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     except ValueError as exc:
         raise ValueError(f"bad model header {line!r}: {exc}") from exc
     p, E, D, L = params.p, params.E, params.D, params.L
-    k, dtype = _digit_groups(p)
+    k, dtype, place, groups, size = _digit_groups(params)
     cells = L**D
-    groups = -(-cells // k)
-    size = E * groups * dtype.itemsize
     bound = _stream_bound(size)
     stream = memoryview(fh.read(bound + 1))
     decoder = lzma.LZMADecompressor(lzma.FORMAT_RAW, filters=[_lzma2(dtype, size)])
     buf = np.empty(size + 1, np.uint8)
-    got = used = 0
-    piece = b""
+    got, used, piece = 0, 0, b""
     try:
         while not decoder.eof and got <= size and (used < len(stream) or not decoder.needs_input):
             piece = stream[used : used + _PIECE] if decoder.needs_input else b""
@@ -389,25 +388,21 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     # a plane's stored index s holds digit E - 1 - s; a wide digit is its own group
     bad = np.flatnonzero(planes.max(axis=1) >= p**k)
     if bad.size:
-        s = int(bad[0])
-        top = planes[s].max()
+        s, top = int(bad[0]), planes[bad[0]].max()
         what = f"digit {top} >= {p}" if k == 1 else f"byte {top} >= {p}**{k}, not {k} digits"
         raise ValueError(f"model body's digit plane {E - 1 - s} has a {what}{_EARLIER}")
-    lut = None  # the digits of each k-digit group, high first, built per load
-    if k > 1:
-        lut = np.arange(p**k)[:, None] // p ** np.arange(k - 1, -1, -1) % p
-        lut = lut.astype(params.residue_dtype)
-        bad = np.flatnonzero(lut[planes[:, -1], k - (groups * k - cells) :].any(axis=1))
-        if bad.size:
-            raise ValueError(
-                f"model body's digit plane {E - 1 - int(bad[0])} has a nonzero digit past"
-                f" the last cell{_EARLIER}"
-            )
-    body = np.zeros(groups * k, params.residue_dtype)
+    bad = np.flatnonzero(planes[:, -1] % p ** (groups * k - cells))  # the last group's padding
+    if bad.size:
+        raise ValueError(
+            f"model body's digit plane {E - 1 - int(bad[0])} has a nonzero digit past"
+            f" the last cell{_EARLIER}"
+        )
+    lut = (np.arange(p**k)[:, None] // place % p).astype(params.residue_dtype) if k > 1 else None
+    body = np.zeros((groups, k), params.residue_dtype)
     step = _PIECE // 8
     digits = np.empty((step, k), body.dtype)
     for lo in range(0, groups, step):
-        part = body[lo * k : (lo + step) * k].reshape(-1, k)
+        part = body[lo : lo + step]
         for plane in planes[:, lo : lo + step]:
             part *= p
             if lut is None:
@@ -415,7 +410,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
             else:
                 part += np.take(lut, plane, axis=0, out=digits[: len(plane)])
     del planes, buf, part, plane  # the loop's views keep the planes alive
-    body = body[:cells]
+    body = body.reshape(-1)[:cells]
     window = np.empty_like(body)
     for lo, hi, pos in _digit_slabs(params):
         window[lo:hi] = body[pos]

@@ -264,13 +264,15 @@ def reduce_residues(arr: np.ndarray, mod: int):
 def binomial_table(p: int, E: int, nmax: int, kmax: int) -> BinomialTable:
     """The table t[n, k] = C(n, k) mod p**E for all n <= nmax and every k.
 
-    It holds two arrays of nmax + 2 int32 entries and one of uint8, 9 bytes a row:
-    9 MiB at MAX_MODULUS rows.  kmax only sets the dense form that shape names, and
-    BinomialTable.rows is exact for every column.  U is a prefix product of the
-    factors t with their p's divided out, V a prefix sum of the p's in uint8,
+    All four arguments must be integers, NumPy's included, or ValueError.  It
+    holds two arrays of nmax + 2 int32 entries and one of uint8, 9 bytes a row:
+    9 MiB at MAX_MODULUS rows.  kmax only sets the dense form that shape names,
+    and BinomialTable.rows is exact for every column.  U is a prefix product of
+    the factors t with their p's divided out, V a prefix sum of the p's in uint8,
     so mod 256, and Uinv a suffix product of the same factors from the one
     modular inverse of U[nmax].
     """
+    p, E, nmax, kmax = map(_check_natural, ("p", "E", "nmax", "kmax"), (p, E, nmax, kmax))
     _check_modulus(p, E)
     if nmax < 0 or kmax < 0:
         raise ValueError(f"table bounds must be non-negative, got {nmax}, {kmax}")

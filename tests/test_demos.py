@@ -4,7 +4,8 @@ demos/02 checks that the binomial series reproduces its tables, and
 demos/03 that the value grid's exponents are the brute-force distances
 to the samples and that the fit reproduces the grid.  demos/04 trains
 the full Nim model and runs every task; it is left to the acceptance
-suite, which covers the same numbers.
+suite, which covers the same numbers, and CI runs it as a step of its own,
+under the same -W error.
 """
 
 import os

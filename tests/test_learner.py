@@ -287,6 +287,27 @@ class TestPredict:
             assert np.array_equal(other.predict_residue_batch(pts), est.predict_residue_batch(pts))
             assert np.array_equal(other.predict_residue_grid(axes), est.predict_residue_grid(axes))
 
+    def test_coefficients_under_other_params_rejected(self):
+        # saved and loaded, this window would answer under its own params, not these
+        coeffs = mahler.ResidueGrid(LearningParams(2, 4, 1, 8), np.arange(8) % 9)
+        with pytest.raises(ValueError, match=r"coeffs must be a window of extent L = 8 under"):
+            DefiningFunctionEstimate(LearningParams(3, 2, 1, 8), coeffs)
+
+    def test_coefficient_window_past_l_rejected(self):
+        params = LearningParams(2, 4, 1, 8, L=4)
+        coeffs = mahler.ResidueGrid(params, np.arange(8))
+        with pytest.raises(ValueError, match="extent L = 4 .* got extent 8"):
+            DefiningFunctionEstimate(params, coeffs)
+
+    def test_table_past_the_domain_rejected(self):
+        # 64 rows would answer x = 20, outside [0, 16), where the model's own table refuses
+        params = LearningParams(2, 4, 1, 8)
+        est = learn(SampleSet(params, [(1,), (5,)]))
+        with pytest.raises(ValueError, match="must lie in"):
+            est.predict_residue((20,))
+        with pytest.raises(ValueError, match=r"mod 2\*\*4 for n < 64; the model needs .* n < 16"):
+            DefiningFunctionEstimate(params, est.coeffs, binomial_table(2, 4, 63, 3))
+
 
 def oracle_window(params, samples) -> np.ndarray:
     """The expected L**D coefficient window, from tests/oracles.py alone.
@@ -830,7 +851,7 @@ class TestPersistence:
         planes = digit_planes(p, E, values[digit_order(p, D, M)])
         assert len(planes) == plane_bytes
         # fed piece by piece, the compressor writes what one call would
-        k, dtype = learner._digit_groups(p)
+        dtype = learner._digit_groups(params)[1]
         filters = [learner._lzma2(dtype, plane_bytes)]
         assert stream == lzma.compress(planes, format=lzma.FORMAT_RAW, filters=filters)
         buf.seek(0)

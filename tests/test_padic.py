@@ -199,6 +199,26 @@ class TestBinomialTable:
             with pytest.raises(ValueError, match="table bounds must be non-negative"):
                 binomial_table(2, 2, nmax, kmax)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((2, True, 5, 3), "E"),  # a bool is an int subclass, not an integer here
+            ((2, 4, True, 3), "nmax"),
+            ((2, 4, 5.5, 3), "nmax"),
+            ((2.0, 4, 5, 3), "p"),
+            ((2, 4, 5, 2.5), "kmax"),
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            binomial_table(*args)
+
+    def test_numpy_integers_pass_as_int(self):
+        t = binomial_table(np.int64(2), np.int32(4), np.int64(5), np.uint8(3))
+        assert all(type(n) is int for n in (t.p, t.E, *t.shape))
+        assert t.shape == (6, 4)
+        assert np.array_equal(dense(t), dense(binomial_table(2, 4, 5, 3)))
+
     def test_long_columns_match_row_recurrence(self):
         # every row of a 3**12-row table: the prefix products and the suffix
         # from the one inverse cross hundreds of blocks of the build
