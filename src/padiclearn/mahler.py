@@ -10,9 +10,10 @@ and a coefficient grid is evaluated by the binomial rows C(x, l) mod p**E of
 the query coordinates, made by BinomialTable.rows.  One kernel, _contract_axis,
 contracts an axis by exact float64 GEMMs: in place for the fit's, the save's and
 the load's transforms, whose matrices are lower-triangular, and out of place for
-the grid evaluator's rounds and the point evaluator's first-coordinate partials.
-Residues are summed mod p**E only in _mulmod, in int64 for the per-point rounds,
-and in the point evaluator's split along axis 0, which adds one product per term.
+the grid evaluator's rounds and the point evaluator's first-coordinate partials,
+in at most padic.KERNEL_CELLS cells for the evaluators.  Residues are summed mod
+p**E only in _mulmod, whose operands are float64 everywhere, and in the point
+evaluator's split along axis 0, which adds one product per term.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import numpy as np
 
 from . import padic
 from .padic import BinomialTable, LearningParams, as_coordinates, as_points, binomial_table
+
+_BITS_2_52 = 0x4330000000000000  # the int64 view of 2.0**52
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,17 +63,15 @@ class ResidueGrid:
 def _mulmod(a: np.ndarray, b: np.ndarray, mod: int) -> np.ndarray:
     """a @ b reduced mod `mod`, in a new int64 array; the one place residues multiply.
 
-    _contract_axis passes float64 operands, one dgemm whose sums turn into int64
-    in place; the per-point rounds pass int64 ones.  Residue operands and a
-    contracted extent of at most MAX_AXIS_EXTENT keep every sum below 2**52, by
-    the bound asserted next to the caps in padic.py: exact in float64 too.
+    a and b are float64: one dgemm, whose sums turn into int64 in place.  Residue
+    operands and a contracted extent of at most MAX_AXIS_EXTENT keep every sum
+    below 2**52, by the bound asserted next to the caps in padic.py, so exact.
     """
     out = np.matmul(a, b)
-    if out.dtype == np.float64:
-        # below 2**52, x + 2**52 holds x in its mantissa under the bits of 2.0**52
-        out += 2.0**52
-        out = out.view(np.int64)
-        out -= 0x4330000000000000
+    # below 2**52, x + 2**52 holds x in its mantissa under the bits of 2.0**52
+    out += 2.0**52
+    out = out.view(np.int64)
+    out -= _BITS_2_52
     padic.reduce_residues(out, mod)
     return out
 
@@ -169,11 +170,12 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndar
     if out.size == 0:
         return out
     scratch = padic.CHUNK_CELLS // 2  # the kernel's; the plan has the rest
+    kernel = min(scratch, padic.KERNEL_CELLS)  # what it uses of its half
 
     def contract(src, x, dst=None):
         dst = np.empty((len(src), len(x), src.shape[2]), out.dtype) if dst is None else dst
         rows = lambda i0, i1: _block_matrix(table, x[i0:i1], ext)
-        _contract_axis(src, dst.reshape(len(src), len(x), -1), rows, scratch, params.modulus)
+        _contract_axis(src, dst.reshape(len(src), len(x), -1), rows, kernel, params.modulus)
         return dst
 
     # cells after each round but the last, which the kernel stores into the output:
@@ -209,11 +211,12 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndar
 def evaluate_at_points(coeffs: ResidueGrid, points, table: BinomialTable) -> np.ndarray:
     """Truncated-series values at an (n, D) array of points.
 
-    Points are grouped by their first coordinate; each group shares one partial,
-    _contract_axis on axis 0, so the per-point work drops from L**D to L**(D-1).
-    Groups go in blocks and points in runs, in the half of CHUNK_CELLS that the
-    kernel leaves.  At D <= 2 a run spans its block's groups, each point with its
-    own partial row; at D >= 3 a run stays in one group and shares its partial.
+    Points are grouped by their first coordinate; each group shares one float64
+    partial, _contract_axis on axis 0, so the per-point work drops from L**D to
+    L**(D-1).  Groups go in blocks and points in runs, in the half of CHUNK_CELLS
+    that the kernel leaves.  At D <= 2 a run spans its block's groups, each point
+    with its own partial row; at D >= 3 a run stays in one group and shares its
+    partial.  Each further axis is one float64 round, back to float64 in place.
     Where one group's partial and one point's run do not fit beside the kernel, at
     D >= 3, the series is split along axis 0 as
 
@@ -253,9 +256,9 @@ def _series_at(data: np.ndarray, pts: np.ndarray, table: BinomialTable, mod: int
     run = max(1, (padic.CHUNK_CELLS - scratch - min(block, uniq.size) * src.shape[2]) // per_point)
     for b0 in range(0, uniq.size, block):
         vs = uniq[b0 : b0 + block]
-        partial = np.empty((vs.size, src.shape[2]), np.int64)
+        partial = np.empty((vs.size, src.shape[2]))  # float64, the per-point rounds' operand
         rows = lambda i0, i1: _block_matrix(table, vs[i0:i1], ext)
-        _contract_axis(src, partial[None], rows, scratch, mod)
+        _contract_axis(src, partial[None], rows, min(scratch, padic.KERNEL_CELLS), mod)
         bounds = run_bounds[b0 : b0 + vs.size + 1]
         spans = [(bounds[0], bounds[-1])] if D <= 2 else zip(bounds[:-1], bounds[1:])
         for beg, end in spans:
@@ -265,7 +268,11 @@ def _series_at(data: np.ndarray, pts: np.ndarray, table: BinomialTable, mod: int
                 acc = partial[grp] if D <= 2 else partial[grp[0] : grp[0] + 1]
                 for d in range(1, D):
                     acc = acc.reshape(len(acc), ext, -1)
-                    acc = _mulmod(table.rows(seg[:, d], ext)[:, None], acc, mod)
+                    acc = _mulmod(_block_matrix(table, seg[:, d], ext)[:, None], acc, mod)
+                    if d < D - 1:  # back to float64 in place, by _mulmod's offset reversed
+                        acc += _BITS_2_52
+                        acc = acc.view(np.float64)
+                        acc -= 2.0**52
                 out[order[lo : lo + len(seg)]] = acc.reshape(-1)
         del partial  # before the next block's partials are computed
     return out

@@ -24,11 +24,11 @@ MAX_TABLE_CELLS = 1 << 26
 
 # mahler._mulmod, where every sum is formed, adds at most MAX_AXIS_EXTENT
 # products of two residues before reducing mod p**E, and such a sum stays below
-# 2**52: exact in the point evaluator's int64 per-point rounds, and in the float64
-# GEMMs of mahler._contract_axis (the transforms, the grid rounds and the point
-# partials) too, as every partial sum, in whatever order BLAS adds, is an integer
-# below 2**53.  A binomial table's row kernel multiplies three residues before it
-# reduces; its int32 U and Uinv hold residues and factors t below MAX_MODULUS.  Its
+# 2**52: exact in every float64 GEMM, those of mahler._contract_axis (the transforms,
+# the grid rounds and the point partials) and the point evaluator's per-point rounds,
+# as every partial sum, in whatever order BLAS adds, is an integer below 2**53.  A
+# binomial table's row kernel multiplies three residues before it reduces; its
+# int32 U and Uinv hold residues and factors t below MAX_MODULUS.  Its
 # uint8 V holds v_p(t!) mod 256: for l <= x, V[x] - V[x - l] - V[l] is v_p(C(x, l)),
 # by Kummer the carries when l and x - l are added in base p, at most the number of
 # base-p digits of x < MAX_MODULUS, so the difference mod 256 is exact.
@@ -42,6 +42,9 @@ assert MAX_GRID_CELLS < 2**53
 # point blocks and runs, grid slabs, the contraction kernel's float64 scratch and
 # the task-2 and task-4 sweeps keep scratch within this many 8-byte cells, 8 MiB
 CHUNK_CELLS = 1 << 20
+# the evaluators' contraction kernel takes at most this many float64 cells, 1 MiB: a
+# GEMM is at full speed once its slab fits a core's L2 cache (Goto, van de Geijn 2008)
+KERNEL_CELLS = 1 << 17
 
 
 def is_prime(n: int) -> bool:

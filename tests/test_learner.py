@@ -401,12 +401,69 @@ def test_residue_valuation_is_the_sample_distance_below_kappa(request, stock):
 
 
 @pytest.mark.parametrize("stock", [False, True], ids=["random", "stock"])
+def test_coefficient_valuation_is_bounded_by_the_levels(request, stock):
+    # the fill is 1 + sum_{k=1..E} p**(k-1) * (p-1) * g_k with g_k p**k-periodic on
+    # every axis, so for l != 0 the coefficient c_l has valuation at least
+    # B(l) = min_k [(k - 1) + sum_d floor(l_d / p**k)]; a zero coefficient has
+    # infinite valuation, and B(l) >= E forces one.  Checked over whole windows
+    rng = np.random.default_rng(54)
+    if stock:
+        ests = [request.getfixturevalue("benchmark_estimate")]
+    else:
+        ests = []
+        for _ in range(150):
+            D, M = int(rng.integers(1, 4)), int(rng.integers(1, 30))
+            p, E, L = int(rng.choice([2, 3, 5, 7])), int(rng.integers(1, 7)), int(rng.integers(1, M + 1))
+            samples = rng.integers(0, M, size=(int(rng.integers(1, 12)), D))
+            ests.append(learn(SampleSet(LearningParams(p, E, D, M, L), samples)))
+    tight = forced = 0
+    for est in ests:
+        p, E, D, L = est.params.p, est.params.E, est.params.D, est.params.L
+        c = est.coeffs.data.astype(np.int64)
+        v = sum((c % p**k == 0).astype(np.int64) for k in range(1, E + 1))  # E where c == 0
+        bound = np.full(c.shape, E)  # k = E + 1 and past add nothing below E
+        for k in range(1, E + 1):
+            np.minimum(bound, k - 1 + sum(np.ix_(*[np.arange(L) // p**k] * D)), out=bound)
+        nonzero_l = np.arange(c.size).reshape(c.shape) > 0
+        assert ((c == 0) | (v >= bound))[nonzero_l].all(), est.params
+        tight += int(((c != 0) & (v == bound) & nonzero_l).sum())
+        forced += int(((bound >= E) & nonzero_l).sum())
+    assert tight > 1000 and (stock or forced > 1000)  # not vacuous: the bound is met and forces zeros
+
+
+@pytest.mark.parametrize("case", ["grid", "point"])
+def test_query_scratch_at_the_default_budget(request, case):
+    # the evaluators give the kernel at most KERNEL_CELLS of their half of
+    # CHUNK_CELLS: with the whole half, the grid read 4.42 MiB of scratch and the
+    # stock one-point query 4.08 MiB
+    if case == "grid":
+        params = LearningParams(p=2, E=6, D=5, M=8)
+        coeffs = np.random.default_rng(55).integers(0, 64, (8,) * 5)
+        est = DefiningFunctionEstimate(params, mahler.ResidueGrid(params, coeffs))
+        axes = [np.array([5])] + [np.arange(64)] * 4
+        query, bound = lambda: est.predict_residue_grid(axes), 2 << 20
+    else:
+        est = request.getfixturevalue("benchmark_estimate")
+        query, bound = lambda: np.array(est.predict_residue((1, 2, 3))), 3 << 19
+    tracemalloc.start()
+    try:
+        out = query()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < bound
+    pts = np.array([[5, 0, 9, 63, 17], [5, 1, 2, 3, 4]] if case == "grid" else [[1, 2, 3]])
+    got = [out[(0, *pt[1:])] for pt in pts] if case == "grid" else [out]
+    assert got == est.predict_residue_batch(pts).tolist()
+
+
+@pytest.mark.parametrize("stock", [False, True], ids=["random", "stock"])
 def test_mulmod_premise(monkeypatch, stock):
     # every product has residue operands and a contracted extent within
     # MAX_AXIS_EXTENT: the premise of the 2**52 bound asserted in padic.py; the
     # transforms of the fit, the save and the load, the grid rounds and the x0
-    # partials multiply 2-d float64 operands, and only the per-point rounds
-    # multiply stacked 3-d int64 ones
+    # partials multiply 2-d float64 operands, and the per-point rounds stacked
+    # 3-d float64 ones
     rng = np.random.default_rng(37)
     configs = [(BENCHMARK_PARAMS, generate_p_positions(3, 100))] if stock else []
     for _ in range(0 if stock else 40):
@@ -443,7 +500,7 @@ def test_mulmod_premise(monkeypatch, stock):
         assert 0 < fit_calls < batch_calls < grid_calls < save_calls < len(calls)
         kernel = calls[:fit_calls] + calls[batch_calls:]  # transforms and grid rounds
         assert set(kernel) == {(2, "float64")}
-        per_point = {(3, "int64")} if params.D > 1 else set()
+        per_point = {(3, "float64")} if params.D > 1 else set()
         assert set(calls[fit_calls:batch_calls]) == {(2, "float64")} | per_point
         calls.clear()
 

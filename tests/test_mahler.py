@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -291,6 +292,21 @@ class TestEvaluate:
             table = binomial_table(2, E, mod - 1, n - 1)
             for x in (n, n + 3, mod - 1):
                 assert evaluate_on_grid(coeffs, [np.array([x])], table)[0] == f(x) % mod
+
+    @pytest.mark.parametrize("D, L", [(2, 1024), (3, 128)])
+    def test_float64_point_rounds_exact_near_the_bound(self, D, L):
+        # every coefficient m - 1 at m = 2**20, so the per-point rounds' float64 sums
+        # reach about L * m**2 / 4, 2**48 at L = 1024, and the series is
+        # (m - 1) * prod_d S(x_d) with S(x) = sum_{l < L} C(x, l) mod m
+        m = 1 << 20
+        params = LearningParams(p=2, E=20, D=D, M=L)
+        coeffs = ResidueGrid(params, np.full((L,) * D, m - 1))
+        table = binomial_table(2, 20, m - 1, L - 1)
+        pts = np.random.default_rng(56).integers(0, m, size=(40, D))
+        pts[:20, 0] = pts[0, 0]  # at D = 3 a run of 20 points shares one partial
+        S = [table.rows(x, L).sum(axis=1).tolist() for x in pts.T]
+        want = [(m - 1) * math.prod(s[i] for s in S) % m for i in range(len(pts))]
+        assert evaluate_at_points(coeffs, pts, table).tolist() == want
 
     def test_table_coverage_errors(self):
         params = params_1d(M=4)
