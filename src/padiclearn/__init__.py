@@ -1,10 +1,10 @@
 """Learning zero loci of p-adically continuous maps from finite samples.
 
 The pipeline: fill a residue grid with p**v, v the best valuation any
-sample achieves against each node (a digit trie answers), Mahler-transform
-the grid into coefficients of the product binomial basis, and evaluate the
-truncated series to predict membership of unseen points.  A three-heap
-Nim benchmark (members: zero-XOR positions) exercises the whole stack.
+sample achieves against each node (counted in residue classes mod p**k),
+Mahler-transform the grid into coefficients of the product binomial basis,
+and evaluate the truncated series to predict membership of unseen points.
+A three-heap Nim benchmark (members: zero-XOR positions) exercises it all.
 """
 
 from .learner import DefiningFunctionEstimate, SampleSet, build_value_grid, learn

@@ -61,15 +61,19 @@ class SampleSet:
         object.__setattr__(self, "points", np.unique(pts, axis=0))
 
 
-# the fill's trie queries step through _FILL_CELLS // D nodes, counting only D of the
-# 3D + ED/8 + 1 int64 cells a node peaks at (FOUND: in CHANGES.md). 1 << 20 cut nim_stock
-# fit_peak_mb 107.8 -> 49.8 MiB, but query_peak_mb, RSS growth over heap the fit freed,
-# rose 0.14 -> 3.8 MiB; the step stays until ROADMAP item 1 and goes with the trie (item 5)
+# the fill's trie queries step through _FILL_CELLS // D nodes, counting only D of the about
+# 2D + 3 int64 cells a node peaks at under tracemalloc (8.6 at D=3): points, remainders, counts.
+# The step stays until ROADMAP item 1: 1 << 20 cuts nim_stock fit_peak_mb 76.0 -> 42.6 MiB but
+# lifts query_peak_mb, RSS growth over heap the fit freed, 0.14 -> 0.60 MiB
 _FILL_CELLS = 1 << 22
 
 
 def build_value_grid(samples: SampleSet) -> ResidueGrid:
-    """Fill [0, L)**D with p**v, v the trie valuation of each node against all samples."""
+    """Fill [0, L)**D with p**v, v the best valuation any sample achieves against each node.
+
+    v is the number of levels of the samples' p-adic tree (`PadicTrie`) that hold
+    the node's residue class mod p**k.
+    """
     params = samples.params
     trie = PadicTrie(params, samples.points)
     mod = params.modulus

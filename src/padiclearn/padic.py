@@ -19,8 +19,6 @@ MAX_MODULUS = 1 << 20  # p**E, and the rows of one binomial table
 MAX_AXIS_EXTENT = 1 << 12  # per-axis grid bound M
 MAX_GRID_CELLS = 1 << 24  # M**D
 MAX_DIMENSION = 32  # D; numpy before 2.0 holds at most 32 axes per array
-# cells of one trie's (nodes + 1) x p child table, 512 MiB at int64
-MAX_TABLE_CELLS = 1 << 26
 
 # mahler._mulmod, where every sum is formed, adds at most MAX_AXIS_EXTENT
 # products of two residues before reducing mod p**E, and such a sum stays below

@@ -88,23 +88,16 @@ def value_window(coeffs, modulus: int) -> np.ndarray:
     return out
 
 
-def trie_node_count(points, p: int, E: int) -> int:
-    """1 + the number of distinct non-empty prefixes of the points' digit strings.
+def residue_class_count(points, p: int, E: int) -> int:
+    """1 + the number of distinct classes of the points mod p**k, summed over k = 1..E.
 
-    A point's string is the base-p digits of its coordinates, least significant
-    first, one round of one digit per coordinate for each of E rounds.  The digits
-    come from Python divmod, sharing nothing with the trie's numpy digit tables.
+    Each class is a tuple of Python-int remainders, sharing nothing with the
+    tree's numpy cubes.
     """
-    prefixes = set()
-    for point in points:
-        coords = [int(c) for c in point]
-        string = []
-        for _ in range(E):
-            for d, c in enumerate(coords):
-                coords[d], digit = divmod(c, p)
-                string.append(digit)
-        prefixes.update(tuple(string[:i]) for i in range(1, len(string) + 1))
-    return 1 + len(prefixes)
+    classes = 0
+    for k in range(1, E + 1):
+        classes += len({tuple(int(c) % p**k for c in point) for point in points})
+    return 1 + classes
 
 
 def raw_lzma2(data: bytes) -> bytes:

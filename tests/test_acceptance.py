@@ -147,7 +147,7 @@ def test_c08_trie_oracle_equivalence():
         p = int(rng.choice([2, 3]))
         E = int(rng.integers(1, 5))
         D = int(rng.integers(1, 4))
-        params = LearningParams(p=p, E=E, D=D, M=2)
+        params = LearningParams(p=p, E=E, D=D, M=p**E)
         size = int(rng.integers(1, 51))
         pts = rng.integers(0, p**E, size=(size, D))
         query = [int(c) for c in rng.integers(0, p**E, size=D)]

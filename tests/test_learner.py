@@ -151,6 +151,19 @@ class TestValueGrid:
             assert grid.extent == L
             assert np.array_equal(grid.data, whole.data[(slice(0, L),) * params.D])
 
+    def test_fill_peak_at_deep_trunc(self):
+        # the benchmark's deep_trunc parameters: 8**5 nodes in one step against six levels
+        params = LearningParams(p=2, E=6, D=5, M=16, L=8)
+        samples = SampleSet(params, np.random.default_rng(40).integers(0, 16, size=(5000, 5)))
+        tracemalloc.start()
+        try:
+            grid = build_value_grid(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.extent == 8
+        assert peak < 5.5 * 2**20
+
     def test_refinement_is_monotone(self):
         # more samples can only raise the valuation read at each node
         rng = np.random.default_rng(31)

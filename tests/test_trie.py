@@ -2,9 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import trie_node_count, valuation
+from oracles import residue_class_count, valuation
 
-from padiclearn.padic import MAX_TABLE_CELLS, LearningParams
+from padiclearn.padic import MAX_GRID_CELLS, LearningParams
 from padiclearn.trie import PadicTrie
 
 
@@ -17,15 +17,23 @@ def brute_force_nns(params, points, query):
     return best
 
 
+def extent(p, E, D):
+    """2 * p**E, so that samples reach past p**E, or the widest M with M**D <= 2**24."""
+    M = 2 * p**E
+    while M**D > MAX_GRID_CELLS:
+        M -= 1
+    return M
+
+
 def random_instance(rng):
     p = int(rng.choice([2, 3]))
     E = int(rng.integers(1, 5))
     D = int(rng.integers(1, 4))
-    params = LearningParams(p=p, E=E, D=D, M=2)
+    params = LearningParams(p=p, E=E, D=D, M=extent(p, E, D))
     size = int(rng.integers(1, 51))
-    # a sprinkle of coordinates beyond p**E exercises digit truncation
+    # a sprinkle of coordinates beyond p**E exercises the reduction mod p**k
     hi = p**E * 2
-    points = rng.integers(0, hi, size=(size, D))
+    points = rng.integers(0, params.M, size=(size, D))
     query = tuple(int(c) for c in rng.integers(0, hi, size=D))
     return params, points, query
 
@@ -40,38 +48,45 @@ class TestBuild:
         with pytest.raises(ValueError):
             PadicTrie(LearningParams(p=2, E=3, D=1, M=2), [[1, 2]])
 
+    def test_rejects_points_outside_the_grid(self):
+        # samples lie in [0, M)**D; queries may be any naturals
+        params = LearningParams(p=2, E=3, D=2, M=4)
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            PadicTrie(params, [(1, 4)])
+        assert PadicTrie(params, [(1, 3)]).nns_valuation_batch([(9, 11)]).tolist() == [3]
+
     def test_two_singletons(self):
         trie = PadicTrie(LearningParams(p=2, E=1, D=1, M=2), [(0,), (1,)])
         assert trie.node_count == 3
 
     def test_single_point_chain(self):
         trie = PadicTrie(LearningParams(p=2, E=2, D=2, M=2), [(0, 0)])
-        assert trie.node_count == 5  # root plus one edge per digit
+        assert trie.node_count == 3  # root plus one class per level
 
     def test_node_count_bound(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
             params, points, _ = random_instance(rng)
             trie = PadicTrie(params, points)
-            assert trie.node_count <= 1 + points.shape[0] * params.E * params.D
+            assert trie.node_count <= 1 + points.shape[0] * params.E
 
     def test_node_count_matches_oracle(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             params, points, _ = random_instance(rng)
-            want = trie_node_count(points, params.p, params.E)
+            want = residue_class_count(points, params.p, params.E)
             assert PadicTrie(params, points).node_count == want
 
     @pytest.mark.parametrize("D", [1, 2, 3, 4])
     def test_node_count_matches_oracle_at_p5(self, D):
         rng = np.random.default_rng(15 + D)
         for E in (1, 2, 3):
-            params = LearningParams(p=5, E=E, D=D, M=2)
-            points = rng.integers(0, 2 * 5**E, size=(int(rng.integers(1, 80)), D))
-            assert PadicTrie(params, points).node_count == trie_node_count(points, 5, E)
+            params = LearningParams(p=5, E=E, D=D, M=extent(5, E, D))
+            points = rng.integers(0, params.M, size=(int(rng.integers(1, 80)), D))
+            assert PadicTrie(params, points).node_count == residue_class_count(points, 5, E)
 
     def test_build_memory_is_bounded(self):
-        # 5000 samples of a 30-digit string: 93k nodes, a 1.5 MB child table
+        # 5000 samples at deep_trunc's parameters: six levels in four cubes of at most 16**5 cells
         params = LearningParams(p=2, E=6, D=5, M=16)
         points = np.random.default_rng(16).integers(0, 16, size=(5000, 5))
         tracemalloc.start()
@@ -80,35 +95,34 @@ class TestBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trie.node_count > 90_000
+        assert trie.node_count == residue_class_count(points, 2, 6)
         assert peak < 5 * 2**20
 
-    def test_oversized_child_table_fails_fast(self):
-        # about 150 nodes times 1048573 children is over 1 GiB of int64 cells
+    def test_large_prime_builds_small(self):
+        # at p > M one M**2 cube serves the only level, whatever p is
         params = LearningParams(p=1048573, E=1, D=2, M=64)
         points = np.random.default_rng(17).integers(0, 64, size=(100, 2))
-        nodes = trie_node_count(points, params.p, params.E)
-        assert nodes * params.p > MAX_TABLE_CELLS
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=rf"{nodes} nodes .* p = 1048573 .* 67108864"):
-                PadicTrie(params, points)
+            trie = PadicTrie(params, points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-
-    def test_child_table_cap_boundary(self, monkeypatch):
-        # the table holds one row per node plus the sink row
-        params = LearningParams(p=3, E=2, D=2, M=9)
-        points = np.random.default_rng(18).integers(0, 9, size=(6, 2))
-        count = trie_node_count(points, params.p, params.E)
-        cap = (count + 1) * params.p
-        monkeypatch.setattr("padiclearn.trie.MAX_TABLE_CELLS", cap - 1)
-        with pytest.raises(ValueError, match=rf"{count} nodes .* p = 3 .* {cap - 1}"):
-            PadicTrie(params, points)
-        monkeypatch.setattr("padiclearn.trie.MAX_TABLE_CELLS", cap)
-        assert PadicTrie(params, points).node_count == count
+        assert trie.node_count == residue_class_count(points, params.p, params.E)
+        p = params.p
+        queries = np.concatenate(
+            [
+                points[:10],
+                points[:10] + p,
+                points[:10] + [[64, 0]],
+                [(64, 64), (p, p), (p - 1, 0), (p + 63, 2 * p + 5)],
+                np.random.default_rng(18).integers(0, 3 * p, size=(20, 2)),
+            ]
+        )
+        got = trie.nns_valuation_batch(queries)
+        assert got.tolist() == [brute_force_nns(params, points, q) for q in queries]
+        assert got[:20].tolist() == [1] * 20
 
     def test_duplicates_are_idempotent(self):
         params = LearningParams(p=2, E=3, D=2, M=4)
@@ -137,7 +151,7 @@ class TestNnsValuation:
             for y in range(9):
                 expected = any((x - a) % mod == 0 and (y - b) % mod == 0 for a, b in points)
                 assert (trie.nns_valuation_batch([(x, y)])[0] == params.E) == expected
-        # congruent mod p**E counts as membership: digits beyond E are dropped
+        # congruent mod p**E counts as membership, even past M
         assert trie.nns_valuation_batch([(1 + mod, 2)])[0] == params.E
 
     def test_matches_brute_force(self):
@@ -148,10 +162,10 @@ class TestNnsValuation:
             assert trie.nns_valuation_batch([query])[0] == brute_force_nns(params, points, query)
         # deeper strings than the random instances, with queries near the samples
         for p, E, D in ((2, 6, 5), (3, 3, 4)):
-            params = LearningParams(p=p, E=E, D=D, M=2)
+            params = LearningParams(p=p, E=E, D=D, M=extent(p, E, D))
             hi = 2 * p**E
             for _ in range(10):
-                points = rng.integers(0, hi, size=(int(rng.integers(1, 51)), D))
+                points = rng.integers(0, params.M, size=(int(rng.integers(1, 51)), D))
                 near = points[rng.integers(0, points.shape[0], size=40)]
                 near += p ** rng.integers(0, E + 1, size=(40, 1)) * rng.integers(0, 2, size=(40, D))
                 queries = np.concatenate([rng.integers(0, hi, size=(40, D)), near % hi])
