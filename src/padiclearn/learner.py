@@ -286,21 +286,48 @@ def _digit_slabs(params: LearningParams):
         yield a * cols, a * cols + pos.size, pos
 
 
+def _lower(x: np.ndarray, params: LearningParams, inverse: bool = False) -> np.ndarray:
+    """T(x) = x - 1 + p**c * [x = 0 mod p**c], or T's inverse, on a slab of values in its dtype.
+
+    T lowers the c low base-p digits by one mod p**c and keeps the rest, with c
+    the least count such that p**c >= M, at most E; its inverse is
+    y + 1 - p**c * [y = p**c - 1 mod p**c].  A learned window holds p**d(x), and
+    from level c up a class of [0, M) is one value, so d(x) < c or d(x) = E and
+    T(p**d(x)) has the digits (p - 1) * [d(x) >= k] at k - 1 < c and 0 above:
+    digit plane k - 1 is (p - 1) * g_k, each level of the fill stored once.
+    Both maps stay in [0, p**E); the branch np.where drops may wrap in the
+    dtype.  p**c can exceed the dtype only at p = 2, where the low digits are
+    a mask instead.
+    """
+    p, c = params.p, 0
+    while c < params.E and p**c < params.M:
+        c += 1
+    top = x.dtype.type(p**c - 1)
+    low = x & top if p == 2 else x % x.dtype.type(p**c)
+    if inverse:
+        return np.where(low == top, x - top, x + 1)
+    return np.where(low == 0, x + top, x - 1)
+
+
 def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     """Write the text line `p E D M L <digest>`, then the window's values as one raw LZMA2 stream.
 
     The L**D coefficient window is stored as the values its series takes on
     [0, L)**D, which for a learned model are the p**v of the fill: a copy of the
     window in the residue dtype is transformed by C(i, j) in place, by
-    mahler.transform_window.  The stream holds E base-p digit planes of those
-    values, the high digit's first: each holds that digit of every cell in the
-    digit order of _digit_slabs, in the padded groups of _digit_groups, and the
-    filter of _lzma2 compresses them; the header's fields determine all three.
-    The digest is a hex blake2b over the five header fields and the row-major
-    coefficient window, so it depends on neither the layout nor the liblzma
-    build.  Planes are packed piece by piece into one compressor, so the save
-    holds no plane buffer.  Raises ValueError, before writing anything, for a
-    window ResidueGrid refuses or whose extent is not L.
+    mahler.transform_window.  Each value then has its c low base-p digits
+    lowered by one mod p**c, by _lower's T, so a learned window's low planes are
+    the fill's level indicators and its higher planes are zero.  The stream
+    holds E base-p digit planes of those values, the high digit's first: each
+    holds that digit of every cell in the digit order of _digit_slabs, in the
+    padded groups of _digit_groups, and the filter of _lzma2 compresses them;
+    the header's fields determine c and all three.  The digest is a hex blake2b
+    over the five header fields and the row-major coefficient window, so it
+    depends on neither the layout nor the liblzma build.  Planes are packed
+    piece by piece into one compressor, so the save holds no plane buffer; at
+    p = 2 a piece is the packed bits of one bit of each value.  Raises
+    ValueError, before writing anything, for a window ResidueGrid refuses or
+    whose extent is not L.
     """
     p, E = params.p, params.E
     grid = ResidueGrid(params, window)
@@ -314,14 +341,18 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     k, dtype, place, groups, size = _digit_groups(params)
     body = np.zeros((groups, k), values.dtype)
     for lo, hi, pos in _digit_slabs(params):
-        body.reshape(-1)[pos] = values.reshape(-1)[lo:hi]
+        body.reshape(-1)[pos] = _lower(values.reshape(-1)[lo:hi], params)
     del values
     encoder = lzma.LZMACompressor(lzma.FORMAT_RAW, filters=[_lzma2(dtype, size)])
     step = _PIECE // 8
     for j in reversed(range(E)):
         for lo in range(0, groups, step):
-            digits = body[lo : lo + step] // p**j % p
-            fh.write(encoder.compress((digits @ place).astype(dtype)))
+            part = body[lo : lo + step]
+            if p == 2:  # a group is 8 bits, high first: packbits' order
+                group = np.packbits((part & (1 << j)) != 0)
+            else:
+                group = (part // p**j % p @ place).astype(dtype)
+            fh.write(encoder.compress(group))
     fh.write(encoder.flush())
 
 
@@ -336,10 +367,11 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     body of residues, _PIECE // 8 groups at a time, through a table of each
     group's digits by the place values of _digit_groups where k > 1, and go
     too; then the body is put back in row-major order, slab by slab of
-    _digit_slabs into a new window of the series' values, and goes too.  Last,
-    mahler.transform_window takes the values back to coefficients in place by
-    (-1)**(i - j) * C(i, j), its scratch sized from the window as there, so past
-    its floor within the bytes the freed body held, and the digest is checked.
+    _digit_slabs into a new window of the series' values, each slab through
+    the inverse of _lower's T, and goes too.  Last, mahler.transform_window
+    takes the values back to coefficients in place by (-1)**(i - j) * C(i, j),
+    its scratch sized from the window as there, so past its floor within the
+    bytes the freed body held, and the digest is checked.
     The load peaks at the body beside the larger of the planes and the window,
     once both outgrow the 8 MiB dictionary.  Raises ValueError, in this order,
     for a body that is not a valid LZMA2 stream, planes of the wrong size, a
@@ -417,7 +449,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     body = body.reshape(-1)[:cells]
     window = np.empty_like(body)
     for lo, hi, pos in _digit_slabs(params):
-        window[lo:hi] = body[pos]
+        window[lo:hi] = _lower(body[pos], params, inverse=True)
     del body, pos  # the transform's scratch takes the body's place
     window = window.reshape((L,) * D)
     transform_window(window, params, inverse=True)

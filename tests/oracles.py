@@ -166,6 +166,23 @@ def digit_planes(p: int, E: int, values) -> bytes:
     return bytes(out)
 
 
+def lowered(p: int, E: int, M: int, values) -> list[int]:
+    """Values with their c low base-p digits lowered by one mod p**c, as a model body holds them.
+
+    c is the least count with p**c >= M, at most E, found by counting up; each
+    value's part below p**c becomes (part - 1) mod p**c and its part above stays,
+    in Python integers with divmod.
+    """
+    c = 0
+    while c < E and p**c < M:
+        c += 1
+    out = []
+    for v in values:
+        high, low = divmod(int(v), p**c)
+        out.append(high * p**c + (low - 1) % p**c)
+    return out
+
+
 def sample_distance(samples, points, p: int, E: int) -> np.ndarray:
     """d(x) = max over samples s of min_d v_p(x_d - s_d), capped at E, for each point x.
 

@@ -191,9 +191,28 @@ def test_stock_model_digest(benchmark_estimate, tmp_path):
     # 2,000,048 bytes uncompressed, 168,046 as zlib 1.2.13 deflated it, 59,043 as
     # liblzma 5.4.1 packed the row-major window, 30,200 the digit-ordered one,
     # 18,199 its 10 digit planes, 2,409 the digit planes of the window's values,
-    # 8 distinct powers of 2, and 1,047 those planes under a hash-chain match finder
-    # that stops early only at a 273-byte match; other liblzma builds may differ a little
+    # 8 distinct powers of 2, 1,047 those planes under a hash-chain match finder
+    # that stops early only at a 273-byte match, and 1,025 with the values' low
+    # digits lowered; other liblzma builds may differ a little
     assert path.stat().st_size < 1_200
+
+
+@pytest.mark.parametrize(
+    "params, samples, bound",
+    [
+        # the deep_trunc benchmark workload at seed 1: 5,385 bytes as the planes of
+        # the values, one-hot in the sample distance, and 3,046 as its level indicators
+        (LearningParams(2, 6, 5, 16, 8), np.random.default_rng(1).integers(0, 16, (5000, 5)), 3600),
+        # Nim at p=2 E=10 D=3 M=64: 253 bytes unlowered, 241 with c = 6 low digits
+        # lowered, and 332 with all E lowered, which repeats the sample plane above c
+        (LearningParams(2, 10, 3, 64), generate_p_positions(3, 64), 290),
+    ],
+    ids=["deep_trunc", "nim-64"],
+)
+def test_model_size_bound(params, samples, bound, tmp_path):
+    path = tmp_path / "model.bin"
+    learn(SampleSet(params, samples)).save(path)
+    assert path.stat().st_size < bound
 
 
 # stock report text: tasks 2 and 4 exhaustive, tasks 1 and 3 at 200 trials

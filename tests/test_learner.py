@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     digit_order,
     digit_planes,
+    lowered,
     mahler_coeffs_1d,
     raw_lzma2,
     sample_distance,
@@ -29,7 +30,7 @@ from padiclearn.learner import (
     write_coefficient_rows,
 )
 from padiclearn.nim import BENCHMARK_PARAMS, generate_p_positions
-from padiclearn.padic import MAX_AXIS_EXTENT, LearningParams, binomial_table
+from padiclearn.padic import MAX_AXIS_EXTENT, MAX_MODULUS, LearningParams, binomial_table
 from padiclearn.trie import PadicTrie
 
 # the hint every model body check ends with, as a pattern
@@ -619,10 +620,64 @@ class TestPersistence:
             write_coefficient_rows(buf, params, window)
             stream = buf.getvalue().split(b"\n", 1)[1]
             raw = lzma.decompress(stream, lzma.FORMAT_RAW, filters=[{"id": lzma.FILTER_LZMA2}])
-            values = value_window(window, p**E).reshape(-1)
-            assert raw == digit_planes(p, E, values[digit_order(p, D, L)]), (p, D, L)
+            values = value_window(window, p**E).reshape(-1)[digit_order(p, D, L)]
+            assert raw == digit_planes(p, E, lowered(p, E, L, values)), (p, D, L)
             buf.seek(0)
             assert np.array_equal(read_coefficient_rows(buf)[1], window), (p, D, L)
+
+    def test_learned_planes_are_the_level_indicators(self):
+        # a learned window holds p**d(x) and the body lowers its c low digits, c the
+        # least count with p**c >= M, at most E: digit plane k - 1 is the fill's
+        # level indicator, (p - 1) * [d(x) >= k], for k <= c, and a higher plane is 0
+        rng = np.random.default_rng(48)
+        # L < M at deep_trunc's p and E; c = E, as 3**2 < 20; c = 3 < E
+        configs = [(2, 6, 3, 16, 8), (3, 2, 2, 20, 20), (5, 6, 2, 30, 11)]
+        while len(configs) < 12:
+            p, D = int(rng.choice([2, 3, 5, 7, 11])), int(rng.integers(1, 4))
+            M = int(rng.integers(2, int(1500 ** (1 / D)) + 1))
+            top = next(E for E in range(1, 21) if p ** (E + 1) > MAX_MODULUS)
+            configs.append((p, int(rng.integers(1, top + 1)), D, M, int(rng.integers(1, M + 1))))
+        assert any(L < M for *_, M, L in configs)
+        for p, E, D, M, L in configs:
+            params = LearningParams(p=p, E=E, D=D, M=M, L=L)
+            samples = rng.integers(0, M, (int(rng.integers(1, 2 * M)), D))
+            buf = io.BytesIO()
+            write_coefficient_rows(buf, params, learn(SampleSet(params, samples)).coeffs.data)
+            stream = buf.getvalue().split(b"\n", 1)[1]
+            raw = lzma.decompress(stream, lzma.FORMAT_RAW, filters=[{"id": lzma.FILTER_LZMA2}])
+            cells = np.array(list(itertools.product(range(L), repeat=D)))[digit_order(p, D, L)]
+            d = sample_distance(samples, cells, p, E)
+            c = next(c for c in range(E + 1) if c == E or p**c >= M)
+            size = len(raw) // E
+            for k in range(1, E + 1):
+                digits = (p - 1) * (d >= k) if k <= c else np.zeros_like(d)
+                plane = raw[(E - k) * size : (E - k + 1) * size]  # high digit first
+                assert plane == digit_planes(p, 1, digits), (p, E, D, M, L, k)
+
+    @pytest.mark.parametrize(
+        "p, E, D, M, L, plane_bytes",
+        [
+            (3, 2, 2, 20, 20, 160),  # c = E, as 3**2 < 20: every digit is lowered
+            (2, 8, 1, 200, 200, 200),  # p**c = p**E = 2**8, the uint8 width
+            (2, 8, 2, 16, 16, 256),  # the uint8 width at c = 4 < E
+            (2, 16, 1, MAX_AXIS_EXTENT, 64, 128),  # the uint16 width; c = 12, as M <= 2**12
+            (257, 1, 2, 5, 5, 50),  # one uint16 digit a cell, c = E = 1
+            (65521, 1, 2, 5, 5, 50),  # the largest uint16 digit
+        ],
+    )
+    def test_low_digit_round_trip(self, p, E, D, M, L, plane_bytes):
+        # every residue through T and back, against the oracle's Python integers
+        params = LearningParams(p=p, E=E, D=D, M=M, L=L)
+        every = np.arange(params.modulus, dtype=params.residue_dtype)
+        low = learner._lower(every, params)
+        assert low.dtype == every.dtype
+        assert low.tolist() == lowered(p, E, M, every.tolist())
+        assert np.array_equal(learner._lower(low, params, inverse=True), every)
+        # then through a save and a load, with the values 0, p**E - 1, p**(E-1) and 1
+        values = np.random.default_rng(p + E).choice(every, (L,) * D)
+        values.reshape(-1)[:4] = [0, params.modulus - 1, p ** (E - 1), 1]
+        mahler.transform_window(values, params, inverse=True)  # the values' coefficients
+        self._round_trip(params, values, plane_bytes)
 
     def test_incompressible_window_round_trip(self):
         # random bytes are stored as raw chunks, the longest stream the read admits
@@ -774,7 +829,7 @@ class TestPersistence:
     def _planes(window: bytes) -> bytes:
         """The body planes of a row-major p=2 E=4 D=2 L=4 window of uint8 coefficients."""
         values = value_window(np.frombuffer(window, np.uint8).reshape(4, 4), 16).reshape(-1)
-        return digit_planes(2, 4, values[digit_order(2, 2, 4)])
+        return digit_planes(2, 4, lowered(2, 4, 4, values[digit_order(2, 2, 4)]))
 
     def test_flipped_body_byte_rejected(self, tmp_path):
         path, head, stream = self._saved(tmp_path)
@@ -812,40 +867,52 @@ class TestPersistence:
                 with pytest.raises(ValueError, match=message + ".*" + EARLIER + "$"):
                     read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))
         # bodies written before they held window values are the digit planes of the
-        # coefficients: the size and groups of value planes, so only the digest fails
+        # coefficients, and bodies written before their low digits were lowered are
+        # the digit planes of the values: both have the size and groups of the
+        # lowered value planes, so only the digest fails
         for p, E, D, M in [(2, 4, 2, 4), (3, 2, 1, 5), (17, 1, 2, 4), (257, 2, 2, 3)]:
             params = LearningParams(p=p, E=E, D=D, M=M)
             window = np.random.default_rng(p).integers(0, p**E, (M,) * D)
             buf = io.BytesIO()
             write_coefficient_rows(buf, params, window)
             head = buf.getvalue().split(b"\n", 1)[0]
-            older = digit_planes(p, E, window.reshape(-1)[digit_order(p, D, M)])
+            coefficients = digit_planes(p, E, window.reshape(-1)[digit_order(p, D, M)])
             values = value_window(window, p**E).reshape(-1)[digit_order(p, D, M)]
-            assert older != digit_planes(p, E, values)
+            unlowered = digit_planes(p, E, values)
+            assert coefficients != digit_planes(p, E, lowered(p, E, M, values))
+            assert unlowered != digit_planes(p, E, lowered(p, E, M, values))
+            message = "digest does not match its header and body" + EARLIER + "$"
+            for older in (coefficients, unlowered):
+                with pytest.raises(ValueError, match=message):
+                    read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))
+        # at L = 1 the value is the coefficient; at E = 1 and p > 16 a byte holds one
+        # digit, a residue, so a digit-ordered body is one plane too.  At M = 1, where
+        # no digit is lowered, either older body loads; at M = 4 the body holds 9 - 1
+        # and the older 9 fails the digest, with the hint like any other flipped byte
+        for M, body, older in [(1, 9, 8), (4, 8, 9)]:
+            params = LearningParams(p=17, E=1, D=2, M=M, L=1)
+            buf = io.BytesIO()
+            write_coefficient_rows(buf, params, np.array([[9]]))
+            head = buf.getvalue().split(b"\n", 1)[0]
+            assert digit_planes(17, 1, lowered(17, 1, M, [9])) == bytes([body])
+            back = read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([body]))))[1]
+            assert back.tolist() == [[9]]
             message = "digest does not match its header and body" + EARLIER + "$"
             with pytest.raises(ValueError, match=message):
-                read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))
-        # at L = 1 the value is the coefficient, so either older body loads; at E = 1
-        # and p > 16 a byte holds one digit, a residue, so a digit-ordered body is one
-        # plane too; a flipped byte fails the digest, with the hint like any other
-        params = LearningParams(p=17, E=1, D=2, M=4, L=1)
-        buf = io.BytesIO()
-        write_coefficient_rows(buf, params, np.array([[9]]))
-        head = buf.getvalue().split(b"\n", 1)[0]
-        assert digit_planes(17, 1, [9]) == bytes([9])
-        back = read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([9]))))[1]
-        assert back.tolist() == [[9]]
-        message = "digest does not match its header and body" + EARLIER + "$"
-        with pytest.raises(ValueError, match=message):
-            read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([8]))))
-        # at L = 1 with more planes the coefficient planes load; a residue body fails
+                read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([older]))))
+        # at L = 1 with more planes the planes of 11 lowered to 10 load, the older
+        # planes of 11 fail the digest, and a residue body fails the size
         params = LearningParams(p=2, E=4, D=3, M=2, L=1)
         buf = io.BytesIO()
         write_coefficient_rows(buf, params, np.array([[[11]]]))
         head = buf.getvalue().split(b"\n", 1)[0]
-        older = digit_planes(2, 4, [11])
-        back = read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))[1]
+        assert lowered(2, 4, 2, [11]) == [10]
+        planes = digit_planes(2, 4, [10])
+        back = read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(planes)))[1]
         assert back.tolist() == [[[11]]]
+        older = digit_planes(2, 4, [11])
+        with pytest.raises(ValueError, match="digest does not match.*" + EARLIER):
+            read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(older)))
         with pytest.raises(ValueError, match="must be 4 bytes.*" + EARLIER):
             read_coefficient_rows(io.BytesIO(head + b"\n" + raw_lzma2(bytes([11]))))
 
@@ -913,12 +980,12 @@ class TestPersistence:
     @staticmethod
     def _round_trip(params, window, plane_bytes) -> bytes:
         """Save window, check its stream and its load, and return the stream."""
-        p, E, D, M = params.p, params.E, params.D, params.M
+        p, E, D, M, L = params.p, params.E, params.D, params.M, params.L
         buf = io.BytesIO()
         write_coefficient_rows(buf, params, window)
         stream = buf.getvalue().split(b"\n", 1)[1]
         values = value_window(window, params.modulus).reshape(-1)
-        planes = digit_planes(p, E, values[digit_order(p, D, M)])
+        planes = digit_planes(p, E, lowered(p, E, M, values[digit_order(p, D, L)]))
         assert len(planes) == plane_bytes
         # fed piece by piece, the compressor writes what one call would
         dtype = learner._digit_groups(params)[1]
