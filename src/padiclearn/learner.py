@@ -259,11 +259,11 @@ def _digit_slabs(params: LearningParams):
     n = 1
     while p**n < L:
         n += 1
-    pe = p ** np.arange(n + 1.0)[:, None]  # p**e, one row per e
+    pe = p ** np.arange(n + 1)[:, None]  # p**e, one row per e
     v = np.arange(L)
 
     def digits(x, power):
-        """F_e(x) and A_e(x) for power = p**e, as float64."""
+        """F_e(x) and A_e(x) for power = p**e, as integers."""
         return np.minimum(L - x // power * power, power), x // power % p * power
 
     s = next(s for s in range(1, D + 1) if L ** (D - s) <= _PIECE // 8)
@@ -364,9 +364,9 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     so a huge, corrupt or bomb file costs bounded memory: the stream, the
     planes, the decoder's dictionary and a few pieces.  The stream and decoder
     go first; then the planes are folded, high digit first, into a digit-ordered
-    body of residues, _PIECE // 8 groups at a time, through a table of each
-    group's digits by the place values of _digit_groups where k > 1, and go
-    too; then the body is put back in row-major order, slab by slab of
+    body of residues, _PIECE // 8 groups at a time, through a table of the
+    digits of each of the p**k groups by the place values of _digit_groups,
+    and go too; then the body is put back in row-major order, slab by slab of
     _digit_slabs into a new window of the series' values, each slab through
     the inverse of _lower's T, and goes too.  Last, mahler.transform_window
     takes the values back to coefficients in place by (-1)**(i - j) * C(i, j),
@@ -433,7 +433,8 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
             f"model body's digit plane {E - 1 - int(bad[0])} has a nonzero digit past"
             f" the last cell{_EARLIER}"
         )
-    lut = (np.arange(p**k)[:, None] // place % p).astype(params.residue_dtype) if k > 1 else None
+    # each group's k digits; the residue dtype holds p**k - 1, as k = 1 or p**k <= 256
+    lut = np.arange(p**k, dtype=params.residue_dtype)[:, None] // place % p
     body = np.zeros((groups, k), params.residue_dtype)
     step = _PIECE // 8
     digits = np.empty((step, k), body.dtype)
@@ -441,10 +442,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         part = body[lo : lo + step]
         for plane in planes[:, lo : lo + step]:
             part *= p
-            if lut is None:
-                part += plane[:, None]
-            else:
-                part += np.take(lut, plane, axis=0, out=digits[: len(plane)])
+            part += np.take(lut, plane, axis=0, out=digits[: len(plane)])
     del planes, buf, part, plane  # the loop's views keep the planes alive
     body = body.reshape(-1)[:cells]
     window = np.empty_like(body)

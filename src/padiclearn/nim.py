@@ -140,19 +140,6 @@ def _p_positions_x0(D: int, lo: int, hi: int, bound: int) -> np.ndarray:
     return _xor_close(free)
 
 
-def _plane_slabs(est: DefiningFunctionEstimate, bound: int):
-    """Exhaustive task 2: (verdict, truth) over the plane x_0 = 0, one x_1 slab at a time."""
-    D = est.params.D
-    level = (0, bound if D > 1 else 1, bound ** max(D - 2, 0))  # D = 1 keeps only x0
-    try:
-        for lo, hi in chunk_ranges([level], "task 2 slab")[1]:
-            axes = [np.array([0]), np.arange(lo, hi), *[np.arange(bound)] * (D - 2)][:D]
-            verdict = est.predict_residue_grid(axes) == 0
-            yield verdict, functools.reduce(np.bitwise_xor, np.ix_(*axes)) == 0
-    except ValueError as exc:  # the axes are valid, so only a slab is too large
-        raise ValueError(f"{exc}; run task 2 with --mode subsample instead") from exc
-
-
 def _check_task(task: int, params: LearningParams):
     if task not in (1, 2, 3, 4):
         raise ValueError(f"task must be 1, 2, 3 or 4, got {task}")
@@ -173,15 +160,17 @@ def run_task(
     """Run one benchmark task and return its report.
 
     Tasks 1 and 3 draw `trials` seeded random points.  Tasks 2 and 4 are
-    exhaustive and ignore `trials` and `seed`.  Exhaustive task 2 sweeps
-    the plane in x_1 slabs and task 4 its points in x_0 slabs, each of at
-    most CHUNK_CELLS cells, and both raise ValueError when one slab alone
-    is too large; task 2 alternatively runs with mode="subsample", which
-    grades a stratified random subset of the plane (sample_size points
-    spread evenly over the x_1 strata, remaining coordinates uniform) and
-    attaches a 95% Wilson interval to the measured success rate.  Every
-    task is graded in one loop over (verdict, truth) chunks: the grid
-    slabs of exhaustive task 2, or the point batches of the others.
+    exhaustive and ignore `trials` and `seed`; task 2 alternatively runs
+    with mode="subsample", which grades sample_size points spread evenly
+    over the x_1 strata of the plane, other coordinates uniform, and
+    attaches a 95% Wilson interval to the success rate.  A task is its
+    rows, the cells of one row and a maker of rows lo..hi: x_1 rows of the
+    plane x_0 = 0 as grid axes (exhaustive task 2), x_0 rows of points
+    (task 4), or one point per row, drawn from the one seeded generator.
+    All are graded in one sweep of slabs of at most CHUNK_CELLS cells, so
+    memory does not grow with `trials`.  A row over the budget raises
+    ValueError; for exhaustive task 2 it, or a grid slab over the grid
+    evaluator's own, points at mode="subsample".
     """
     P = est.params
     _check_task(task, P)
@@ -193,39 +182,49 @@ def run_task(
         raise ValueError(f"task {task} needs a positive trial count")
     seed = padic._check_natural("seed", seed)
     rep_mode = "random" if task in (1, 3) else mode
-    bound = P.modulus
+    D, bound = P.D, P.modulus
+    rng = np.random.default_rng(seed)
     t0 = time.perf_counter()
-
-    if task == 2 and mode == "exhaustive":
-        graded = _plane_slabs(est, bound)
+    grid = task == 2 and mode == "exhaustive"
+    rows, row_cells = trials, D  # one point per row
+    if grid:  # x1 rows of the plane x0 = 0, as grid axes; D = 1 keeps only x0
+        rows, row_cells = (bound, bound ** (D - 2)) if D > 1 else (1, 1)
+        make = lambda lo, hi: [np.array([0]), np.arange(lo, hi), *[np.arange(bound)] * (D - 2)][:D]
+    elif task == 4:  # x0 rows of points; a row's cells are its points' coordinates
+        rows, row_cells = (64, D * bound ** (D - 2)) if D > 1 else (1, 1)
+        make = functools.partial(_p_positions_x0, D, bound=bound)
+    elif task == 1:
+        make = lambda lo, hi: rng.integers(0, bound, size=(hi - lo, D), dtype=np.int64)
+    elif task == 3:
+        make = lambda lo, hi: sample_p_positions(rng, D, bound, hi - lo)
     else:
-        if task == 1:
-            rng = np.random.default_rng(seed)
-            chunks = [rng.integers(0, bound, size=(trials, P.D), dtype=np.int64)]
-        elif task == 3:
-            chunks = [sample_p_positions(np.random.default_rng(seed), P.D, bound, trials)]
-        elif task == 4:
-            # cells of an x0 slab are the coordinates of its points
-            level = (0, 64 if P.D > 1 else 1, P.D * bound ** max(P.D - 2, 0))
-            slabs = chunk_ranges([level], "task 4 slab")[1]
-            chunks = (_p_positions_x0(P.D, lo, hi, bound) for lo, hi in slabs)
-        else:
-            if P.D < 3:
-                raise ValueError("subsample mode needs D >= 3: one stratified axis plus random axes")
-            if padic._check_natural("sample_size", sample_size) < 1:
-                raise ValueError(f"sample_size must be positive, got {sample_size}")
-            rng = np.random.default_rng(seed)
-            x1 = np.repeat(np.arange(bound, dtype=np.int64), -(-sample_size // bound))
-            rest = rng.integers(0, bound, size=(x1.size, P.D - 2), dtype=np.int64)
-            chunks = [np.column_stack([np.zeros(x1.size, dtype=np.int64), x1, rest])]
-        graded = (
-            (est.is_member_batch(pts), np.bitwise_xor.reduce(pts, axis=1) == 0) for pts in chunks
-        )
+        if D < 3:
+            raise ValueError("subsample mode needs D >= 3: one stratified axis plus random axes")
+        if padic._check_natural("sample_size", sample_size) < 1:
+            raise ValueError(f"sample_size must be positive, got {sample_size}")
+        per = -(-sample_size // bound)  # the points of one x1 stratum
+        rows = per * bound
+
+        def make(lo, hi):
+            x1 = np.arange(lo, hi, dtype=np.int64) // per
+            return np.column_stack([0 * x1, x1, rng.integers(0, bound, (hi - lo, D - 2), np.int64)])
+
     # tasks 3 and 4 query members only, so every failure there is a miss
     failures = n = 0
-    for verdict, truth in graded:
-        failures += int(np.count_nonzero(verdict != truth))
-        n += truth.size
+    try:
+        for lo, hi in chunk_ranges([(0, rows, row_cells)], f"task {task} slab")[1]:
+            got = make(lo, hi)
+            if grid:
+                verdict = est.predict_residue_grid(got) == 0
+                truth = functools.reduce(np.bitwise_xor, np.ix_(*got)) == 0
+            else:
+                verdict, truth = est.is_member_batch(got), np.bitwise_xor.reduce(got, axis=1) == 0
+            failures += int(np.count_nonzero(verdict != truth))
+            n += truth.size
+    except ValueError as exc:  # the axes are valid, so a grid error is a slab too large
+        if not grid:
+            raise
+        raise ValueError(f"{exc}; run task 2 with --mode subsample instead") from exc
     ci = _wilson_95(n - failures, n) if rep_mode == "subsample" else None
     ms = int(round((time.perf_counter() - t0) * 1000))
     rep_seed = None if rep_mode == "exhaustive" else seed

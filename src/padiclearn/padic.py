@@ -38,7 +38,7 @@ assert MAX_MODULUS < 2**31 and (MAX_MODULUS - 1).bit_length() < 2**8
 assert MAX_GRID_CELLS < 2**53
 
 # point blocks and runs, grid slabs, the contraction kernel's float64 scratch and
-# the task-2 and task-4 sweeps keep scratch within this many 8-byte cells, 8 MiB
+# the Nim tasks' sweep keep scratch within this many 8-byte cells, 8 MiB
 CHUNK_CELLS = 1 << 20
 # the evaluators' contraction kernel takes at most this many float64 cells, 1 MiB: a
 # GEMM is at full speed once its slab fits a core's L2 cache (Goto, van de Geijn 2008)

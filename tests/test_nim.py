@@ -236,6 +236,30 @@ class TestRunTask(object):
         # sort order; the whole 4096-point sweep at once reads 17 budgets
         assert peak < 8 * budget * 8
 
+    def test_point_tasks_sweep_bounded_slabs(self, small_estimate, monkeypatch):
+        # 1001 rows of 3 cells per slab: 4000 trials take 4 slabs and the subsample's
+        # 63 * 64 = 4032 points 5, the first boundary at an odd row count; the draws
+        # come slab by slab from one generator, so every report equals the one-slab one
+        cases = [
+            dict(task=1, trials=4000, seed=11),
+            dict(task=3, trials=4000, seed=11),
+            dict(task=2, mode="subsample", sample_size=4000, seed=11),
+        ]
+        whole = [run_task(small_estimate, **kw).to_text() for kw in cases]
+        budget = 3 * 1001
+        monkeypatch.setattr(padic, "CHUNK_CELLS", budget)
+        for kw, want in zip(cases, whole):
+            tracemalloc.start()
+            try:
+                got = run_task(small_estimate, **kw)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.to_text() == want
+            # a slab's points and the evaluator's scratch read about 4 budgets; all
+            # the points at once read 14 for tasks 1 and 3 and 17 for the subsample
+            assert peak < 8 * budget * 8, kw
+
     def test_task4_oversized_slab_rejected(self, small_estimate, monkeypatch):
         monkeypatch.setattr(padic, "CHUNK_CELLS", 3 * 64 - 1)
         with pytest.raises(ValueError, match="one task 4 slab holds 192 cells") as info:
