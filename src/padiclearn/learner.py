@@ -101,32 +101,39 @@ def learn(samples: SampleSet) -> "DefiningFunctionEstimate":
 
 @dataclass(frozen=True, eq=False)
 class DefiningFunctionEstimate:
-    """Trained model: the L**D coefficient window plus the table that evaluates it.
+    """Trained model: the L**D coefficient window, evaluated by a table of p**E rows.
 
     Predictions are defined on exactly [0, p**E)**D; the series is a residue
     mod p**E and coordinates are read at precision E.  The parts must agree with
     params, or ValueError: coeffs has the same params and extent L, and a table
-    passed in is mod the same p**E with exactly p**E rows; its rows are exact
-    for every k.
+    passed in, the third argument, is mod the same p**E with exactly p**E rows;
+    its rows are exact for every k.
     """
 
     params: LearningParams
     coeffs: ResidueGrid
-    # C(n, k) mod p**E for n < p**E, as factorial unit parts; built if not given
-    table: BinomialTable | None = None
+    # C(n, k) mod p**E for n < p**E, as factorial unit parts: the table passed in, else
+    # built by the first read of .table, so learn, save and load build no p**E rows
+    _table: BinomialTable | None = None
 
     def __post_init__(self):
-        P, T, C = self.params, self.table, self.coeffs
+        P, T, C = self.params, self._table, self.coeffs
         if C.params != P or C.extent != P.L:
             raise ValueError(f"coeffs must be a window of extent L = {P.L} under {P},"
                              f" got extent {C.extent} under {C.params}")
-        if T is None:
-            object.__setattr__(self, "table", binomial_table(P.p, P.E, P.modulus - 1, P.L - 1))
-        elif (T.p, T.E) != (P.p, P.E) or T.shape[0] != P.modulus:
+        if T is not None and ((T.p, T.E) != (P.p, P.E) or T.shape[0] != P.modulus):
             raise ValueError(
                 f"table is mod {T.p}**{T.E} for n < {T.shape[0]};"
                 f" the model needs mod {P.p}**{P.E} for n < {P.modulus}"
             )
+
+    @property
+    def table(self) -> BinomialTable:
+        """The p**E-row table the queries read, built on the first read if none was passed."""
+        if self._table is None:
+            P = self.params
+            object.__setattr__(self, "_table", binomial_table(P.p, P.E, P.modulus - 1, P.L - 1))
+        return self._table
 
     def predict_residue(self, point) -> int:
         """Estimated defining-function value mod p**E at one point."""
@@ -315,9 +322,10 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     The L**D coefficient window is stored as the values its series takes on
     [0, L)**D, which for a learned model are the p**v of the fill: a copy of the
     window in the residue dtype is transformed by C(i, j) in place, by
-    mahler.transform_window.  Each value then has its c low base-p digits
-    lowered by one mod p**c, by _lower's T, so a learned window's low planes are
-    the fill's level indicators and its higher planes are zero.  The stream
+    mahler.transform_window with a table of L rows.  Each value then has its c
+    low base-p digits lowered by one mod p**c, by _lower's T, so a learned
+    window's low planes are the fill's level indicators and its higher planes
+    are zero.  The stream
     holds E base-p digit planes of those values, the high digit's first: each
     holds that digit of every cell in the digit order of _digit_slabs, in the
     padded groups of _digit_groups, and the filter of _lzma2 compresses them;
@@ -337,7 +345,7 @@ def write_coefficient_rows(fh, params: LearningParams, window: np.ndarray):
     values = np.array(grid.data, params.residue_dtype)
     del grid, window  # ResidueGrid's int64 copy, where it made one
     fh.write(fields + b" " + _digest(fields, values.reshape(-1).view(np.uint8)) + b"\n")
-    transform_window(values, params, inverse=False)
+    transform_window(values, binomial_table(p, E, params.L - 1, params.L - 1), inverse=False)
     k, dtype, place, groups, size = _digit_groups(params)
     body = np.zeros((groups, k), values.dtype)
     for lo, hi, pos in _digit_slabs(params):
@@ -369,9 +377,9 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
     and go too; then the body is put back in row-major order, slab by slab of
     _digit_slabs into a new window of the series' values, each slab through
     the inverse of _lower's T, and goes too.  Last, mahler.transform_window
-    takes the values back to coefficients in place by (-1)**(i - j) * C(i, j),
-    its scratch sized from the window as there, so past its floor within the
-    bytes the freed body held, and the digest is checked.
+    takes the values back to coefficients in place by (-1)**(i - j) * C(i, j)
+    from a table of L rows, its scratch sized from the window as there, so past
+    its floor within the bytes the freed body held, and the digest is checked.
     The load peaks at the body beside the larger of the planes and the window,
     once both outgrow the 8 MiB dictionary.  Raises ValueError, in this order,
     for a body that is not a valid LZMA2 stream, planes of the wrong size, a
@@ -450,7 +458,7 @@ def read_coefficient_rows(fh) -> tuple[LearningParams, np.ndarray]:
         window[lo:hi] = _lower(body[pos], params, inverse=True)
     del body, pos  # the transform's scratch takes the body's place
     window = window.reshape((L,) * D)
-    transform_window(window, params, inverse=True)
+    transform_window(window, binomial_table(p, E, L - 1, L - 1), inverse=True)
     if _digest(b" ".join(head[:5]), window.reshape(-1).view(np.uint8)) != head[5]:
         raise ValueError(f"model digest does not match its header and body{_EARLIER}")
     return params, window

@@ -115,34 +115,39 @@ def _contract_axis(src: np.ndarray, dst: np.ndarray, rows, cells: int, mod: int)
         del mat  # before the next block's is built
 
 
-def transform_window(window: np.ndarray, params: LearningParams, inverse: bool):
+def transform_window(window: np.ndarray, table: BinomialTable, inverse: bool):
     """Contract every axis of a C-contiguous cube of residues mod p**E in place.
 
     The lower-triangular matrix C(i, j) mod p**E takes a coefficient window to its
-    values f(x), its inverse (-1)**(i - j) * C(i, j) values to coefficients.  The
-    kernel's scratch stays within CHUNK_CELLS cells and, above a floor of 2**16,
-    the window's bytes, so a window of side at most 128 takes an axis in one block.
+    values f(x), its inverse (-1)**(i - j) * C(i, j) values to coefficients; table
+    gives their rows, mod the window's p**E, and needs only the window's ext rows,
+    as binomial_table(p, E, ext - 1, ext - 1) builds them.  The kernel's scratch
+    stays within CHUNK_CELLS cells and, above a floor of 2**16, the window's bytes,
+    so a window of side at most 128 takes an axis in one block.
     """
     ext, D = window.shape[0], window.ndim
     if not window.flags.c_contiguous:
         raise ValueError("the window must be C-contiguous to be transformed in place")
+    if table.shape[0] < ext:
+        raise ValueError(f"a window of side {ext} needs a table of {ext} rows,"
+                         f" got {table.shape[0]}")
     cells = min(padic.CHUNK_CELLS, max(1 << 16, window.nbytes // 8))
-    table = binomial_table(params.p, params.E, ext - 1, ext - 1)
     rows = lambda i0, i1: _block_matrix(table, np.arange(i0, i1), i1, inverse)
     for d in range(D):
         view = window.reshape(ext**d, ext, -1)  # axis d in the middle
-        _contract_axis(view, view, rows, cells, params.modulus)
+        _contract_axis(view, view, rows, cells, table.p**table.E)
 
 
 def mahler_transform(grid: ResidueGrid) -> ResidueGrid:
     """Transform a value grid into its coefficient grid.
 
-    transform_window takes an int64 copy of the grid in place; entry l then holds
-    the coefficient of prod_d C(x_d, l_d).  The input grid is left untouched.
+    transform_window takes an int64 copy of the grid in place, by the table of its
+    extent's rows; entry l then holds the coefficient of prod_d C(x_d, l_d).  The
+    input grid is left untouched.
     """
-    out = grid.data.copy()
-    transform_window(out, grid.params, inverse=True)
-    return ResidueGrid(grid.params, out)
+    P, ext, out = grid.params, grid.extent, grid.data.copy()
+    transform_window(out, binomial_table(P.p, P.E, ext - 1, ext - 1), inverse=True)
+    return ResidueGrid(P, out)
 
 
 def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndarray:

@@ -301,6 +301,60 @@ class TestPredict:
             assert np.array_equal(other.predict_residue_batch(pts), est.predict_residue_batch(pts))
             assert np.array_equal(other.predict_residue_grid(axes), est.predict_residue_grid(axes))
 
+    @pytest.mark.parametrize("first", ["scalar", "batch", "grid", "member"])
+    def test_only_the_first_query_builds_the_modulus_table(self, monkeypatch, tmp_path, first):
+        params = LearningParams(p=3, E=4, D=2, M=9)
+        build, calls = learner.binomial_table, []
+
+        def counted(p, E, nmax, kmax):
+            calls.append(nmax)
+            return build(p, E, nmax, kmax)
+
+        monkeypatch.setattr(learner, "binomial_table", counted)
+        queries = {
+            "scalar": lambda est: est.predict_residue((40, 2)),
+            "batch": lambda est: est.predict_residue_batch(np.array([(40, 2), (0, 80)])),
+            "grid": lambda est: est.predict_residue_grid([np.arange(81)] * 2),
+            "member": lambda est: est.is_member((0, 1)),
+        }
+        est = learn(SampleSet(params, [(0, 1), (4, 7)]))
+        est.save(tmp_path / "model.bin")
+        back = DefiningFunctionEstimate.load(tmp_path / "model.bin")
+        # the save's and the load's transforms take tables of the window's L rows
+        assert calls and max(calls) < params.L
+        for model in (est, back):
+            calls.clear()
+            queries[first](model)
+            assert calls == [params.modulus - 1]
+            for query in queries.values():
+                query(model)
+            assert calls == [params.modulus - 1]
+        # a table passed in, the third argument, is checked and read as is
+        table = build(3, 4, params.modulus - 1, 0)
+        calls.clear()
+        given = DefiningFunctionEstimate(params, back.coeffs, table)
+        queries[first](given)
+        assert given.table is table and calls == []
+        with pytest.raises(ValueError, match=r"the model needs mod 3\*\*4 for n < 81"):
+            DefiningFunctionEstimate(params, back.coeffs, build(3, 4, 79, 8))
+
+    def test_learn_and_load_at_the_modulus_cap_skip_its_table(self, tmp_path):
+        # a table of the 2**20 rows is 9 MiB; learn and load need only the 8 x 8 window
+        params = LearningParams(p=2, E=20, D=2, M=8)
+        samples = SampleSet(params, [(0, 0), (3, 3), (5, 6)])
+        path = tmp_path / "model.bin"
+        peaks = []
+        for step in (lambda: learn(samples), lambda: DefiningFunctionEstimate.load(path)):
+            tracemalloc.start()
+            try:
+                est = step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            est.save(path)
+        assert max(peaks) < 2**20, peaks
+        assert est.predict_residue((3, 3)) == 0 and est.table.shape[0] == params.modulus
+
     def test_coefficients_under_other_params_rejected(self):
         # saved and loaded, this window would answer under its own params, not these
         coeffs = mahler.ResidueGrid(LearningParams(2, 4, 1, 8), np.arange(8) % 9)
@@ -676,7 +730,8 @@ class TestPersistence:
         # then through a save and a load, with the values 0, p**E - 1, p**(E-1) and 1
         values = np.random.default_rng(p + E).choice(every, (L,) * D)
         values.reshape(-1)[:4] = [0, params.modulus - 1, p ** (E - 1), 1]
-        mahler.transform_window(values, params, inverse=True)  # the values' coefficients
+        table = binomial_table(p, E, L - 1, L - 1)
+        mahler.transform_window(values, table, inverse=True)  # the values' coefficients
         self._round_trip(params, values, plane_bytes)
 
     def test_incompressible_window_round_trip(self):
@@ -750,7 +805,8 @@ class TestPersistence:
         window = np.zeros(size, np.uint8)
         window[rng.integers(0, size, 1000)] = rng.integers(1, 256, 1000)
         window = window.reshape(2900, 2900)
-        mahler.transform_window(window, params, inverse=True)  # the values' coefficients
+        table = binomial_table(2, 8, 2899, 2899)
+        mahler.transform_window(window, table, inverse=True)  # the values' coefficients
         path = tmp_path / "model.bin"
         with open(path, "wb") as fh:
             write_coefficient_rows(fh, params, window)

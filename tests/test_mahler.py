@@ -150,15 +150,16 @@ class TestTransformWindow:
             params = LearningParams(p=p, E=E, D=D, M=L)
             values = rng.integers(0, params.modulus, size=(L,) * D)
             want = oracle_tensor_transform(ResidueGrid(params, values))
+            table = binomial_table(p, E, L - 1, L - 1)
             for dtype in (np.int64, params.residue_dtype):
                 window = values.astype(dtype)
-                transform_window(window, params, inverse=True)
+                transform_window(window, table, inverse=True)
                 assert np.array_equal(window, want), (p, E, D, L, dtype)
                 assert window.dtype == dtype
-                transform_window(window, params, inverse=False)
+                transform_window(window, table, inverse=False)
                 assert np.array_equal(window, values), (p, E, D, L, dtype)
             coeffs = values.copy()  # read as coefficients, the forward direction's input
-            transform_window(coeffs, params, inverse=False)
+            transform_window(coeffs, table, inverse=False)
             assert np.array_equal(coeffs, value_window(values, params.modulus))
             assert np.array_equal(mahler_transform(ResidueGrid(params, values)).data, want)
 
@@ -166,7 +167,13 @@ class TestTransformWindow:
         params = LearningParams(p=2, E=4, D=2, M=4)
         window = np.zeros((4, 8), np.int64)[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            transform_window(window, params, inverse=True)
+            transform_window(window, binomial_table(params.p, params.E, 3, 3), inverse=True)
+
+    def test_rejects_a_table_short_of_the_window(self):
+        # rows past the table's last would clip to it and give wrong residues
+        window = np.zeros((4, 4), np.int64)
+        with pytest.raises(ValueError, match="side 4 needs a table of 4 rows, got 3"):
+            transform_window(window, binomial_table(2, 4, 2, 2), inverse=True)
 
     @pytest.mark.parametrize("D, L", [(2, 512), (3, 64)])
     def test_fit_transform_peaks_at_input_copy_and_budget(self, monkeypatch, D, L):
