@@ -61,10 +61,13 @@ class SampleSet:
         object.__setattr__(self, "points", np.unique(pts, axis=0))
 
 
-# the fill's trie queries step through _FILL_CELLS // D nodes, counting only D of the about
-# 2D + 3 int64 cells a node peaks at under tracemalloc (8.6 at D=3): points, remainders, counts.
-# The step stays until ROADMAP item 1: 1 << 20 cuts nim_stock fit_peak_mb 76.0 -> 42.6 MiB but
-# lifts query_peak_mb, RSS growth over heap the fit freed, 0.14 -> 0.60 MiB
+# the fill's trie queries step through _FILL_CELLS // D nodes, counting only the D coordinates
+# of a node.  Under tracemalloc a step peaks at about 2D + 1.4 int64 cells a node from D = 3 on
+# (7.4 at D = 3: indices, unravelled and stacked coordinates) and D + 4.4 below it: the query
+# adds 3.4 past the coordinates (counts, flat class index, one remainder column, three masks).
+# The step stays until ROADMAP item 1a: a smaller one frees less heap, and nim_stock's
+# query_peak_mb, RSS growth over heap the fit freed, rises past its bound (1 << 20 cuts
+# fit_peak_mb 76.0 -> 42.6 MiB but lifts query_peak_mb 0.14 -> 0.60 MiB)
 _FILL_CELLS = 1 << 22
 
 

@@ -165,6 +165,36 @@ class TestValueGrid:
         assert grid.extent == 8
         assert peak < 5.5 * 2**20
 
+    def test_fill_peak_at_a_truncated_cap(self):
+        # M at its cap and L = 64: the level cubes are cut to 64**2 cells, not 4096**2
+        params = LearningParams(p=2, E=20, D=2, M=4096, L=64)
+        samples = SampleSet(params, np.random.default_rng(41).integers(0, 4096, size=(10**5, 2)))
+        tracemalloc.start()
+        try:
+            grid = build_value_grid(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.extent == 64
+        assert peak < 6 * 2**20
+
+    def test_trie_is_exact_on_a_truncated_window(self):
+        # at L < M every node of [0, L)**D reads its all-pairs distance to the samples,
+        # those inside the window and those past it alike
+        rng = np.random.default_rng(42)
+        for _ in range(60):
+            p = int(rng.choice([2, 3, 5]))
+            E = int(rng.integers(1, 6))
+            D = int(rng.integers(1, 4))
+            M = int(rng.integers(2, (40, 30, 12)[D - 1] + 1))
+            params = LearningParams(p=p, E=E, D=D, M=M, L=int(rng.integers(1, M)))
+            inside = rng.integers(0, params.L, size=(int(rng.integers(0, 6)), D))
+            anywhere = rng.integers(0, M, size=(int(rng.integers(1, 30)), D))
+            points = np.concatenate([inside, anywhere])
+            nodes = np.stack(np.unravel_index(np.arange(params.L**D), (params.L,) * D), axis=1)
+            got = PadicTrie(params, points).nns_valuation_batch(nodes)
+            assert np.array_equal(got, sample_distance(points, nodes, p, E))
+
     def test_refinement_is_monotone(self):
         # more samples can only raise the valuation read at each node
         rng = np.random.default_rng(31)
