@@ -48,7 +48,10 @@ class SampleSet:
     """Finite, non-empty set of points inside [0, M)**D.
 
     Points are deduplicated and kept in lexicographic order, so a sample
-    set has one canonical array form.
+    set has one canonical array form: one np.lexsort with the first
+    coordinate as its primary key, then every row that differs from the
+    one before it.  That is np.unique(points, axis=0), which under numpy 2
+    imports numpy.ma on its first call.
     """
 
     params: LearningParams
@@ -58,7 +61,9 @@ class SampleSet:
         pts = as_points(np.atleast_2d(self.points), self.params.D, bound=self.params.M)
         if pts.shape[0] == 0:
             raise ValueError("sample set must not be empty")
-        object.__setattr__(self, "points", np.unique(pts, axis=0))
+        pts = pts[np.lexsort(pts.T[::-1])]
+        keep = np.concatenate([[True], (pts[1:] != pts[:-1]).any(axis=1)])
+        object.__setattr__(self, "points", pts[keep])
 
 
 # the fill's trie queries step through _FILL_CELLS // D nodes, counting only the D coordinates
@@ -67,7 +72,7 @@ class SampleSet:
 # adds 3.4 past the coordinates (counts, flat class index, one remainder column, three masks).
 # The step stays until ROADMAP item 1a: a smaller one frees less heap, and nim_stock's
 # query_peak_mb, RSS growth over heap the fit freed, rises past its bound (1 << 20 cuts
-# fit_peak_mb 76.0 -> 42.6 MiB but lifts query_peak_mb 0.14 -> 0.60 MiB)
+# fit_peak_mb 65.6 -> 41.8 MiB but lifts query_peak_mb 0.10 -> 0.37 MiB)
 _FILL_CELLS = 1 << 22
 
 

@@ -11,9 +11,10 @@ the query coordinates, made by BinomialTable.rows.  One kernel, _contract_axis,
 contracts an axis by exact float64 GEMMs: in place for the fit's, the save's and
 the load's transforms, whose matrices are lower-triangular, and out of place for
 the grid evaluator's rounds and the point evaluator's first-coordinate partials,
-in at most padic.KERNEL_CELLS cells for the evaluators.  Residues are summed mod
-p**E only in _mulmod, whose operands are float64 everywhere, and in the point
-evaluator's split along axis 0, which adds one product per term.
+in padic.KERNEL_CELLS cells, or 256 per row of a longer axis, for the evaluators.
+Residues are summed mod p**E only in _mulmod, whose operands are float64
+everywhere, and in the point evaluator's split along axis 0, which adds one
+product per term.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def evaluate_on_grid(coeffs: ResidueGrid, axes, table: BinomialTable) -> np.ndar
     if out.size == 0:
         return out
     scratch = padic.CHUNK_CELLS // 2  # the kernel's; the plan has the rest
-    kernel = min(scratch, padic.KERNEL_CELLS)  # what it uses of its half
+    kernel = min(scratch, max(padic.KERNEL_CELLS, 256 * ext))  # what it uses of its half
 
     def contract(src, x, dst=None):
         dst = np.empty((len(src), len(x), src.shape[2]), out.dtype) if dst is None else dst
@@ -238,6 +239,7 @@ def _series_at(data: np.ndarray, pts: np.ndarray, table: BinomialTable, mod: int
     ext, D = data.shape[0], data.ndim
     src = data.reshape(1, ext, -1)
     scratch = padic.CHUNK_CELLS // 2  # the kernel's, as in evaluate_on_grid
+    kernel = min(scratch, max(padic.KERNEL_CELLS, 256 * ext))
     # per point, a run holds two cells per row entry, an index and two successive
     # partials; per group, a block holds one partial and ext cells, beside the
     # kernel's half and a run of one point
@@ -263,7 +265,7 @@ def _series_at(data: np.ndarray, pts: np.ndarray, table: BinomialTable, mod: int
         vs = uniq[b0 : b0 + block]
         partial = np.empty((vs.size, src.shape[2]))  # float64, the per-point rounds' operand
         rows = lambda i0, i1: _block_matrix(table, vs[i0:i1], ext)
-        _contract_axis(src, partial[None], rows, min(scratch, padic.KERNEL_CELLS), mod)
+        _contract_axis(src, partial[None], rows, kernel, mod)
         bounds = run_bounds[b0 : b0 + vs.size + 1]
         spans = [(bounds[0], bounds[-1])] if D <= 2 else zip(bounds[:-1], bounds[1:])
         for beg, end in spans:

@@ -40,8 +40,10 @@ assert MAX_GRID_CELLS < 2**53
 # point blocks and runs, grid slabs, the contraction kernel's float64 scratch and
 # the Nim tasks' sweep keep scratch within this many 8-byte cells, 8 MiB
 CHUNK_CELLS = 1 << 20
-# the evaluators' contraction kernel takes at most this many float64 cells, 1 MiB: a
-# GEMM is at full speed once its slab fits a core's L2 cache (Goto, van de Geijn 2008)
+# the evaluators' contraction kernel takes this many float64 cells, 1 MiB, up to an
+# axis of extent 512: a GEMM is at full speed once its slab fits a core's L2 cache
+# (Goto, van de Geijn 2008).  A longer axis k takes 256 * k, within half CHUNK_CELLS,
+# so no block is cut below 32 rows and each slab copy serves more of them
 KERNEL_CELLS = 1 << 17
 
 

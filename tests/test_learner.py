@@ -1,10 +1,14 @@
 import io
 import itertools
+import json
 import lzma
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,22 @@ class TestSampleSet:
         ss = SampleSet(params, [(3, 1), (0, 2), (3, 1)])
         assert ss.points.tolist() == [[0, 2], [3, 1]]
         assert ss.points.shape[0] == 2
+
+    @pytest.mark.parametrize(
+        "D, M, n, dtype",
+        [(3, 5, 400, np.int64), (1, 50, 300, np.int64), (32, 1, 7, np.int64),
+         (2, 4096, 10**5, np.int64), (2, 300, 5000, np.int32), (3, 64, 5000, np.uint16)],
+        ids=["duplicates", "D1", "D32", "1e5-at-4096", "int32", "uint16"],
+    )
+    def test_canonical_form_is_np_unique(self, D, M, n, dtype):
+        # the sort and mask give np.unique(points, axis=0), which stays here as the oracle
+        params = LearningParams(p=2, E=12, D=D, M=M)
+        pts = np.random.default_rng(D * M + n).integers(0, M, (n, D)).astype(dtype)
+        pts = np.concatenate([pts, pts[::-3]])  # duplicates, in no order
+        got = SampleSet(params, pts).points
+        want = np.unique(pts.astype(np.int64), axis=0)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_single_point_row(self):
         params = LearningParams(p=2, E=3, D=2, M=4)
@@ -531,8 +551,8 @@ def test_coefficient_valuation_is_bounded_by_the_levels(request, stock):
 
 @pytest.mark.parametrize("case", ["grid", "point"])
 def test_query_scratch_at_the_default_budget(request, case):
-    # the evaluators give the kernel at most KERNEL_CELLS of their half of
-    # CHUNK_CELLS: with the whole half, the grid read 4.42 MiB of scratch and the
+    # below an extent of 512 the evaluators give the kernel KERNEL_CELLS of their half
+    # of CHUNK_CELLS: with the whole half, the grid read 4.42 MiB of scratch and the
     # stock one-point query 4.08 MiB
     if case == "grid":
         params = LearningParams(p=2, E=6, D=5, M=8)
@@ -601,6 +621,58 @@ def test_mulmod_premise(monkeypatch, stock):
         per_point = {(3, "float64")} if params.D > 1 else set()
         assert set(calls[fit_calls:batch_calls]) == {(2, "float64")} | per_point
         calls.clear()
+
+
+# run in a fresh interpreter: the modules that each model call adds to sys.modules,
+# as JSON; with no model path, those that `import numpy.random` adds
+_IMPORTS = r"""
+import json, sys
+import numpy as np
+import padiclearn
+from padiclearn import DefiningFunctionEstimate, LearningParams, SampleSet, learn, run_task
+
+def added(call):
+    before = set(sys.modules)
+    call()
+    return sorted(set(sys.modules) - before)
+
+if len(sys.argv) == 1:
+    sys.exit(print(json.dumps(added(lambda: __import__("numpy.random")))))
+path, P, out, state = sys.argv[1], LearningParams(p=2, E=4, D=2, M=8), {}, {}
+pts = np.array([[3, 3], [1, 2], [3, 3], [5, 6], [0, 7]])
+out["learn"] = added(lambda: state.update(est=learn(SampleSet(P, pts))))
+out["save"] = added(lambda: state["est"].save(path))
+out["load"] = added(lambda: state.update(est=DefiningFunctionEstimate.load(path)))
+est = state["est"]
+out["predict_residue"] = added(lambda: est.predict_residue((3, 3)))
+out["predict_residue_batch"] = added(lambda: est.predict_residue_batch(pts))
+out["predict_residue_grid"] = added(lambda: est.predict_residue_grid([np.arange(16)] * 2))
+out["is_member"] = added(lambda: est.is_member((1, 2)))
+out["run_task"] = added(lambda: run_task(est, 1, trials=100, seed=1))
+print(json.dumps(out))
+"""
+
+
+def test_model_calls_import_no_module(tmp_path):
+    # under numpy 2, np.unique(..., axis=0) imports numpy.ma on its first call, about
+    # 12 ms and 1.2 MiB of a process's first fit; numpy 1 loads numpy.ma with numpy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def added(*argv):
+        done = subprocess.run([sys.executable, "-c", _IMPORTS, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    calls, numpy_random = added(str(tmp_path / "model.bin")), added()
+    task = calls.pop("run_task")
+    assert calls == dict.fromkeys(calls, []) and len(calls) == 7
+    # run_task draws from numpy.random: it may add that package, what it imports
+    # (its bit generators import the stdlib's secrets) and stdlib modules
+    stdlib = {m for m in task if m.split(".")[0] in sys.stdlib_module_names}
+    assert set(task) - stdlib <= set(numpy_random)
 
 
 class TestPersistence:

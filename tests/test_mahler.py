@@ -538,6 +538,32 @@ class TestEvaluate:
         assert got.tolist() == want.tolist()
         assert peak < 1.5 * 8 * budget
 
+    @pytest.mark.parametrize("ext", [8, 512, 1024])
+    def test_kernel_budget_on_long_axes(self, monkeypatch, ext):
+        # past an extent of 512 the evaluators give the kernel 256 cells a row of the
+        # axis, so a block takes up to 64 rows here; up to 512 they give it KERNEL_CELLS.
+        # Either way the residues are those of a KERNEL_CELLS kernel
+        rng = np.random.default_rng(62)
+        params = LearningParams(p=2, E=12, D=2, M=ext)
+        coeffs = ResidueGrid(params, rng.integers(0, 4096, (ext, ext)))
+        table = binomial_table(2, 12, 4095, ext - 1)
+        pts = rng.integers(0, 4096, size=(300, 2))
+        pts[:100, 0] = 7
+        axes = [rng.integers(0, 4096, size=40), rng.integers(0, 4096, size=30)]
+        contract, seen = mahler._contract_axis, []
+
+        def spy(src, dst, rows, cells, mod):
+            seen.append(cells)
+            contract(src, dst, rows, cells, mod)
+
+        monkeypatch.setattr(mahler, "_contract_axis", spy)
+        got = evaluate_at_points(coeffs, pts, table), evaluate_on_grid(coeffs, axes, table)
+        assert set(seen) == {padic.KERNEL_CELLS if ext <= 512 else 256 * ext}
+        old = lambda src, dst, rows, cells, mod: contract(src, dst, rows, padic.KERNEL_CELLS, mod)
+        monkeypatch.setattr(mahler, "_contract_axis", old)
+        want = evaluate_at_points(coeffs, pts, table), evaluate_on_grid(coeffs, axes, table)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
 
 # a well-formed header for p=2 E=3 D=2 M=2 L=2 with a placeholder digest
 DUMMY_HEAD = b"2 3 2 2 2 " + b"0" * 32 + b"\n"
